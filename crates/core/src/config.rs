@@ -232,8 +232,8 @@ pub enum MeasureMode {
 ///   quantum the cores' shared-cache accesses interleave
 ///   scheduling-dependently, so results are statistically equivalent
 ///   but not bit-identical; campaign results under a relaxed quantum
-///   journal under their own content-addressed keys and are gated by a
-///   CI tolerance check.
+///   journal under their own content-addressed keys, and
+///   `tests/parallel_chip.rs` holds the chip to a 5% IPC tolerance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ChipParallelism {
     /// Tick both cores from one thread, core 0 first (the default).
@@ -253,8 +253,6 @@ pub enum ChipParallelism {
 /// The unified three-speed execution plan: how a core is warmed, how the
 /// measured phase runs, whether campaigns may share warm-state
 /// checkpoints between cells, and how a two-core chip is scheduled.
-/// Replaces the former loose trio of `warmup_mode` / `--fast-forward` /
-/// `--reuse-warmup` knobs.
 ///
 /// The canonical text form (accepted by [`ExecutionPlan::parse`] and
 /// produced by `Display`) is
@@ -796,15 +794,6 @@ impl CoreConfigBuilder {
         self
     }
 
-    /// How the warmup phase is executed (default:
-    /// [`WarmupMode::Detailed`]).
-    #[deprecated(note = "use `plan(ExecutionPlan { warmup, .. })` instead")]
-    #[must_use]
-    pub fn warmup_mode(mut self, mode: WarmupMode) -> Self {
-        self.config.plan.warmup = mode;
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
@@ -1151,23 +1140,6 @@ mod tests {
             cfg.try_validate(),
             Err(SimError::InvalidConfig { field: "plan.measure", .. })
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_warmup_mode_builder_delegates_to_plan() {
-        let via_shim = CoreConfig::builder()
-            .warmup_mode(WarmupMode::Functional)
-            .build()
-            .expect("valid");
-        let via_plan = CoreConfig::builder()
-            .plan(ExecutionPlan {
-                warmup: WarmupMode::Functional,
-                ..ExecutionPlan::detailed()
-            })
-            .build()
-            .expect("valid");
-        assert_eq!(via_shim, via_plan);
     }
 
     #[test]

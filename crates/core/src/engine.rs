@@ -5,7 +5,6 @@ use crate::error::{DiagnosticSnapshot, SimError, StuckResource, ThreadDiag};
 use crate::queues::{ExecKind, FinishTable, IssueQueues, LoadMissQueue, QEntry};
 use crate::stats::{CoreStats, DecodeBlock, RepetitionRecord};
 use crate::thread::{Group, ThreadState};
-use crate::trace::{Trace, TraceEvent, TraceKind};
 use p5_branch::{BranchPredictorOps, BranchStats, Predictor};
 use p5_isa::{
     decode_policy, BranchBehavior, DecodePolicy, FuClass, Op, Priority, PrivilegeLevel,
@@ -95,7 +94,6 @@ pub struct SmtCore {
     /// unpipelined ops like fixed-point multiply).
     fu_busy: [Vec<u64>; 4],
     rng: u64,
-    tracer: Option<Trace>,
     /// Performance-monitoring unit, when enabled. Boxed so the disabled
     /// case costs one pointer-sized `None` check per cycle and nothing
     /// else; no `dyn` dispatch anywhere on the hot path.
@@ -134,8 +132,8 @@ pub struct SmtCore {
 ///
 /// The snapshot pins the [`CoreConfig`] and address-space salt it was
 /// taken under; restoring into an incompatible core is refused. The
-/// tracer and PMU are deliberately *not* part of the snapshot: they are
-/// observers, attached per measurement, and FAME enables them only
+/// PMU is deliberately *not* part of the snapshot: it is an
+/// observer, attached per measurement, and FAME enables it only
 /// after the warmup boundary.
 ///
 /// Cloning is cheap relative to re-simulating the warmup (the dominant
@@ -239,7 +237,6 @@ impl SmtCore {
             } else {
                 config.rng_seed
             },
-            tracer: None,
             pmu: None,
             address_space_salt,
             last_commit_cycle: 0,
@@ -248,27 +245,6 @@ impl SmtCore {
             idle_skip: idle_skip_env_override().unwrap_or(config.plan.idle_skip),
             config,
         }
-    }
-
-    /// Starts recording pipeline events into a bounded ring of
-    /// `capacity` entries (replacing any previous trace).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.tracer = Some(Trace::new(capacity));
-    }
-
-    /// Stops recording and returns the trace collected so far, if any.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.tracer.take()
-    }
-
-    /// The trace recorded so far, if tracing is enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&Trace> {
-        self.tracer.as_ref()
     }
 
     /// Enables the performance-monitoring unit (replacing any previous
@@ -296,17 +272,6 @@ impl SmtCore {
     /// kernel-entry events through this).
     pub fn pmu_mut(&mut self) -> Option<&mut Pmu> {
         self.pmu.as_deref_mut()
-    }
-
-    fn emit(&mut self, thread: ThreadId, seq: u64, kind: TraceKind) {
-        if let Some(t) = &mut self.tracer {
-            t.push(TraceEvent {
-                cycle: self.cycle,
-                thread,
-                seq,
-                kind,
-            });
-        }
     }
 
     /// The configuration this core was built with.
@@ -352,13 +317,6 @@ impl SmtCore {
     /// `p5-os` layers privilege semantics on top).
     pub fn set_priority(&mut self, thread: ThreadId, priority: Priority) {
         self.priorities[thread.index()] = priority;
-        self.emit(
-            thread,
-            0,
-            TraceKind::PriorityChanged {
-                level: priority.level(),
-            },
-        );
         if let Some(p) = &mut self.pmu {
             p.record_instant(
                 Some(thread),
@@ -446,8 +404,8 @@ impl SmtCore {
     /// typically at the warmup→measurement boundary, so the (expensive)
     /// warmup can be replayed for free by
     /// [`restore_warm_state`](SmtCore::restore_warm_state) on any
-    /// identically-configured core. The tracer and PMU are not captured
-    /// (they are attached per measurement, after the boundary).
+    /// identically-configured core. The PMU is not captured (it is
+    /// attached per measurement, after the boundary).
     #[must_use]
     pub fn snapshot_warm_state(&self) -> WarmState {
         WarmState {
@@ -478,7 +436,7 @@ impl SmtCore {
     /// bit-identical to the one [`snapshot_warm_state`](Self::snapshot_warm_state)
     /// captured, including its RNG position, so a measurement run from
     /// here matches a measurement run from the original warmup exactly.
-    /// The tracer and PMU attached to *this* core are left as they are.
+    /// The PMU attached to *this* core is left as it is.
     ///
     /// # Errors
     ///
@@ -556,12 +514,8 @@ impl SmtCore {
     /// instead of stepped one by one — with bit-identical results; see
     /// `skip_idle_span` and DESIGN.md §17.
     pub fn run_cycles(&mut self, n: u64) {
-        let end = self.cycle.saturating_add(n);
-        while self.cycle < end {
-            if !self.step_internal() && self.idle_skip {
-                self.skip_idle_span(end);
-            }
-        }
+        // With the watchdog off (window 0) the run cannot fail.
+        let _ = self.drive(self.cycle.saturating_add(n), 0, |_| false);
     }
 
     /// Fast-forwards `cycles` cycles of warmup on the functional engine
@@ -750,47 +704,9 @@ impl SmtCore {
     /// Returns [`SimError::ForwardProgressStall`] with a
     /// [`DiagnosticSnapshot`] naming the saturated resource.
     pub fn try_run_cycles(&mut self, n: u64) -> Result<(), SimError> {
-        let watchdog = self.config.watchdog_stall_cycles;
-        let end = self.cycle + n;
-        while self.cycle < end {
-            if watchdog != 0
-                && self.cycle - self.last_commit_cycle >= watchdog
-                && ThreadId::ALL.iter().any(|&t| self.is_active(t))
-            {
-                return Err(SimError::ForwardProgressStall {
-                    snapshot: Box::new(self.diagnostic_snapshot()),
-                });
-            }
-            if !self.step_internal() && self.idle_skip {
-                // Clamp the jump to the cycle at which the watchdog
-                // would trip: `last_commit_cycle` is frozen over an idle
-                // span, so the loop-head check above fires at exactly
-                // the cycle (and with exactly the state) the per-cycle
-                // path would have reported.
-                let mut limit = end;
-                if watchdog != 0 && ThreadId::ALL.iter().any(|&t| self.is_active(t)) {
-                    limit = limit.min(self.last_commit_cycle + watchdog);
-                }
-                self.skip_idle_span(limit);
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs until every active thread has completed at least its target
-    /// number of program repetitions, or `max_cycles` elapse.
-    ///
-    /// Compatibility wrapper around
-    /// [`try_run_until_repetitions`](SmtCore::try_run_until_repetitions):
-    /// a forward-progress stall is reported as [`RunOutcome::MaxCycles`]
-    /// (the run did not complete) without burning the rest of the cycle
-    /// budget. Callers that want the diagnostic should use the `try_`
-    /// variant.
-    pub fn run_until_repetitions(&mut self, target: [usize; 2], max_cycles: u64) -> RunOutcome {
-        match self.try_run_until_repetitions(target, max_cycles) {
-            Ok(outcome) => outcome,
-            Err(_) => RunOutcome::MaxCycles,
-        }
+        let end = self.cycle.saturating_add(n);
+        self.drive(end, self.config.watchdog_stall_cycles, |_| false)
+            .map(|_| ())
     }
 
     /// Runs until every active thread has completed at least its target
@@ -816,37 +732,65 @@ impl SmtCore {
         target: [usize; 2],
         max_cycles: u64,
     ) -> Result<RunOutcome, SimError> {
-        let deadline = self.cycle + max_cycles;
         // A fresh run gets a fresh watchdog window: time spent idle
         // before the call is not a stall.
         self.last_commit_cycle = self.cycle;
-        let watchdog = self.config.watchdog_stall_cycles;
-        while self.cycle < deadline {
-            let done = ThreadId::ALL.iter().all(|&t| {
-                !self.is_active(t)
-                    || self.stats.threads[t.index()].repetitions.len() >= target[t.index()]
-            });
-            if done {
-                return Ok(RunOutcome::Completed);
+        let end = self.cycle.saturating_add(max_cycles);
+        let done = self.drive(end, self.config.watchdog_stall_cycles, |c| {
+            ThreadId::ALL.iter().all(|&t| {
+                !c.is_active(t) || c.stats.threads[t.index()].repetitions.len() >= target[t.index()]
+            })
+        })?;
+        Ok(if done {
+            RunOutcome::Completed
+        } else {
+            RunOutcome::MaxCycles
+        })
+    }
+
+    /// The one detailed run loop: steps the pipeline until cycle `end`
+    /// or until `stop` (checked before every step) returns `true`,
+    /// batch-advancing provably idle spans when idle skip is enabled.
+    /// With a non-zero `watchdog` window, a core with an active context
+    /// that has retired nothing for `watchdog` cycles stops with the
+    /// diagnostic. Returns whether `stop` ended the run.
+    ///
+    /// Generic over `stop` so every caller gets its own monomorphized
+    /// copy of the hot loop.
+    fn drive<F: FnMut(&SmtCore) -> bool>(
+        &mut self,
+        end: u64,
+        watchdog: u64,
+        mut stop: F,
+    ) -> Result<bool, SimError> {
+        // A core with no active context is idle, not stalled.
+        let active = |c: &SmtCore| ThreadId::ALL.iter().any(|&t| c.is_active(t));
+        while self.cycle < end {
+            if stop(self) {
+                return Ok(true);
             }
-            if watchdog != 0 && self.cycle - self.last_commit_cycle >= watchdog {
+            if watchdog != 0 && self.cycle - self.last_commit_cycle >= watchdog && active(self) {
                 return Err(SimError::ForwardProgressStall {
                     snapshot: Box::new(self.diagnostic_snapshot()),
                 });
             }
             if !self.step_internal() && self.idle_skip {
-                // As in `try_run_cycles`: land exactly on the watchdog
-                // trip cycle, never beyond it. The done-check outcome is
-                // frozen over an idle span (nothing retires in it), so
-                // re-evaluating it only at the jump target is identical.
-                let mut limit = deadline;
-                if watchdog != 0 {
-                    limit = limit.min(self.last_commit_cycle + watchdog);
-                }
+                // Clamp the jump to the cycle at which the watchdog
+                // would trip: `last_commit_cycle` is frozen over an idle
+                // span, so the loop-head check fires at exactly the
+                // cycle (and with exactly the state) the per-cycle path
+                // would have reported. `stop` is frozen too (nothing
+                // retires in the span), so evaluating it only at the
+                // jump target is identical.
+                let limit = if watchdog != 0 && active(self) {
+                    end.min(self.last_commit_cycle + watchdog)
+                } else {
+                    end
+                };
                 self.skip_idle_span(limit);
             }
         }
-        Ok(RunOutcome::MaxCycles)
+        Ok(false)
     }
 
     /// Cycles since a dispatch group last retired on any thread (the
@@ -1157,8 +1101,6 @@ impl SmtCore {
                 if thread.redirect_pending == Some(entry.seq) {
                     thread.redirect_pending = None;
                 }
-                let resume_cycle = thread.fetch_stall_until;
-                self.emit(tid, entry.seq, TraceKind::Redirect { resume_cycle });
                 finish
             }
             ExecKind::Load { addr } => {
@@ -1203,7 +1145,6 @@ impl SmtCore {
         self.finish.set(entry.seq, finish);
         self.completions
             .push(Reverse((finish, tid.index() as u8, entry.group_id)));
-        self.emit(tid, entry.seq, TraceKind::Issued { finish_cycle: finish });
         Some(occupancy)
     }
 
@@ -1465,7 +1406,6 @@ impl SmtCore {
                 dep2,
                 kind,
             });
-            self.emit(tid, seq, TraceKind::Decoded { group_id });
             decoded += 1;
             self.stats.threads[tid.index()].decoded += 1;
 
@@ -1514,17 +1454,6 @@ impl SmtCore {
                 let head = thread.groups.pop_front().expect("front checked");
                 self.last_commit_cycle = self.cycle;
                 retired_any = true;
-                if let Some(t) = &mut self.tracer {
-                    t.push(TraceEvent {
-                        cycle: self.cycle,
-                        thread: tid,
-                        seq: 0,
-                        kind: TraceKind::GroupRetired {
-                            group_id: head.id,
-                            instructions: head.total,
-                        },
-                    });
-                }
                 let st = &mut self.stats.threads[i];
                 st.committed += u64::from(head.total);
                 for _ in 0..head.rep_ends {
@@ -1949,8 +1878,8 @@ mod tests {
     fn single_thread_commits_and_records_repetitions() {
         let mut c = core();
         c.load_program(ThreadId::T0, cpu_program(9, 10)); // 100 insts/rep
-        let outcome = c.run_until_repetitions([3, 0], 100_000);
-        assert_eq!(outcome, RunOutcome::Completed);
+        let outcome = c.try_run_until_repetitions([3, 0], 100_000);
+        assert_eq!(outcome, Ok(RunOutcome::Completed));
         let st = c.stats().thread(ThreadId::T0);
         assert!(st.repetitions.len() >= 3);
         assert_eq!(st.repetitions[0].committed_at_end % 100, 0);
@@ -1962,7 +1891,8 @@ mod tests {
     fn repetition_cycle_deltas_are_stable_in_steady_state() {
         let mut c = core();
         c.load_program(ThreadId::T0, cpu_program(9, 50));
-        c.run_until_repetitions([6, 0], 1_000_000);
+        c.try_run_until_repetitions([6, 0], 1_000_000)
+            .expect("a cpu-bound thread progresses");
         let reps = &c.stats().thread(ThreadId::T0).repetitions;
         let d1 = reps[4].end_cycle - reps[3].end_cycle;
         let d2 = reps[5].end_cycle - reps[4].end_cycle;
@@ -2203,11 +2133,11 @@ mod tests {
     }
 
     #[test]
-    fn run_until_repetitions_times_out() {
+    fn try_run_until_repetitions_times_out() {
         let mut c = core();
         c.load_program(ThreadId::T0, cpu_program(9, u64::MAX / 1024));
-        let outcome = c.run_until_repetitions([1, 0], 1_000);
-        assert_eq!(outcome, RunOutcome::MaxCycles);
+        let outcome = c.try_run_until_repetitions([1, 0], 1_000);
+        assert_eq!(outcome, Ok(RunOutcome::MaxCycles));
     }
 
     /// A zero-entry LMQ wedges any beyond-L1 workload: misses can never
@@ -2231,16 +2161,6 @@ mod tests {
             c.cycle() < 100_000,
             "watchdog must fire long before the budget: cycle {}",
             c.cycle()
-        );
-        // The legacy wrapper reports the same wedge as MaxCycles.
-        let mut cfg = CoreConfig::tiny_for_tests();
-        cfg.lmq_entries = 0;
-        cfg.watchdog_stall_cycles = 10_000;
-        let mut c = SmtCore::new(cfg);
-        c.load_program(ThreadId::T0, chase_program(256 * 1024, 1_000));
-        assert_eq!(
-            c.run_until_repetitions([1, 0], 10_000_000),
-            RunOutcome::MaxCycles
         );
     }
 
@@ -2406,61 +2326,6 @@ mod tests {
         let before = c.stats().committed(ThreadId::T1);
         c.run_cycles(1_000);
         assert_eq!(c.stats().committed(ThreadId::T1), before);
-    }
-
-    #[test]
-    fn trace_records_full_instruction_lifecycle() {
-        let mut c = core();
-        c.load_program(ThreadId::T0, cpu_program(9, 10));
-        c.enable_trace(4096);
-        c.run_cycles(500);
-        let trace = c.take_trace().expect("tracing was enabled");
-        assert!(!trace.is_empty());
-        let kinds: Vec<_> = trace.iter().map(|e| e.kind).collect();
-        assert!(kinds
-            .iter()
-            .any(|k| matches!(k, crate::trace::TraceKind::Decoded { .. })));
-        assert!(kinds
-            .iter()
-            .any(|k| matches!(k, crate::trace::TraceKind::Issued { .. })));
-        assert!(kinds
-            .iter()
-            .any(|k| matches!(k, crate::trace::TraceKind::GroupRetired { .. })));
-        // Decode of a given seq precedes its issue.
-        let decode_cycle = trace
-            .iter()
-            .find(|e| matches!(e.kind, crate::trace::TraceKind::Decoded { .. }) && e.seq == 1)
-            .map(|e| e.cycle)
-            .expect("seq 1 decoded");
-        let issue_cycle = trace
-            .iter()
-            .find(|e| matches!(e.kind, crate::trace::TraceKind::Issued { .. }) && e.seq == 1)
-            .map(|e| e.cycle)
-            .expect("seq 1 issued");
-        assert!(issue_cycle > decode_cycle);
-        // Disabled tracing costs nothing and returns None.
-        assert!(c.trace().is_none());
-    }
-
-    #[test]
-    fn trace_captures_priority_changes_and_redirects() {
-        let mut c = core();
-        let mut b = Program::builder("br");
-        b.push(StaticInst::new(Op::Branch(BranchBehavior::Random { taken_permille: 500 })));
-        b.iterations(50);
-        c.load_program(ThreadId::T0, b.build().unwrap());
-        c.enable_trace(4096);
-        c.set_priority(ThreadId::T0, Priority::High);
-        c.run_cycles(2_000);
-        let trace = c.take_trace().unwrap();
-        assert!(trace.iter().any(|e| matches!(
-            e.kind,
-            crate::trace::TraceKind::PriorityChanged { level: 6 }
-        )));
-        assert!(trace.iter().any(|e| matches!(
-            e.kind,
-            crate::trace::TraceKind::Redirect { .. }
-        )));
     }
 
     /// The satellite-2 invariant: every granted decode cycle is either

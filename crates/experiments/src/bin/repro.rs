@@ -31,8 +31,6 @@
 //! serial); `+mt:Q` relaxes the synchronization to a Q-cycle quantum
 //! (DESIGN.md §16 — results carry a bounded interleaving error and get
 //! their own cache keys). `--chip-threads 2` is shorthand for `+mt`.
-//! The older `--fast-forward` and `--reuse-warmup` flags are
-//! deprecated spellings of `--plan detailed+ff` and `+reuse`.
 //!
 //! `--pmu` adds the per-cell CPI-stack section; `--trace <path>`
 //! additionally captures the priority-switch transient and writes it as
@@ -115,8 +113,6 @@ OPTIONS:
                             to run chip simulations on two threads
     --chip-threads N        1 = serial chip (default), 2 = deterministic
                             threaded chip (same as appending +mt to --plan)
-    --fast-forward          deprecated: same as --plan detailed+ff
-    --reuse-warmup          deprecated: adds +reuse to the plan
     --pmu                   add the per-cell CPI-stack section
     --trace PATH            write the priority-switch Chrome trace to PATH
     --journal DIR           journal finished cells to DIR/journal.jsonl
@@ -178,8 +174,6 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(PathBuf::from);
     let pmu_flag = args.iter().any(|a| a == "--pmu");
-    let fast_forward = args.iter().any(|a| a == "--fast-forward");
-    let reuse_warmup = args.iter().any(|a| a == "--reuse-warmup");
     let mut plan = match args
         .iter()
         .position(|a| a == "--plan")
@@ -194,18 +188,9 @@ fn main() {
         },
         None => p5_core::ExecutionPlan::detailed(),
     };
-    // Deprecated shims: spelled as plan edits so they compose with
-    // --plan (e.g. `--plan sampled --reuse-warmup` works as expected).
-    if fast_forward {
-        plan.warmup = p5_core::WarmupMode::Functional;
-    }
-    if reuse_warmup {
-        plan.warm_reuse = true;
-    }
-    // Like the deprecated shims, a post-parse plan edit, so it composes
-    // with --plan. Relaxed quanta are deliberately not reachable from
-    // this flag — they change results and must be spelled out as
-    // `--plan ...+mt:Q`.
+    // A post-parse plan edit, so it composes with --plan. Relaxed quanta
+    // are deliberately not reachable from this flag — they change
+    // results and must be spelled out as `--plan ...+mt:Q`.
     match parsed_flag(&args, "--chip-threads") {
         None => {}
         Some(1) => plan.chip = p5_core::ChipParallelism::Serial,

@@ -135,8 +135,13 @@ struct CellRecord {
 
 impl CellRecord {
     /// Captures `m` for the journal; `None` for statuses that must be
-    /// retried on resume rather than replayed.
+    /// retried on resume rather than replayed, and for outcomes a
+    /// wall-clock deadline cut short — they are not a function of the
+    /// cell key, so storing them would replay a timing accident forever.
     fn capture(m: &Measured) -> Option<CellRecord> {
+        if matches!(m.error, Some(SimError::Deadline { .. })) {
+            return None;
+        }
         match m.status {
             CellStatus::Ok | CellStatus::Recovered | CellStatus::Degraded => Some(CellRecord {
                 status: m.status,
@@ -665,8 +670,10 @@ mod tests {
                 warmup_cycles: 4_321,
             }),
             status,
-            error: (status == CellStatus::Degraded).then_some(SimError::Deadline {
-                phase: "measure",
+            error: (status == CellStatus::Degraded).then_some(SimError::BudgetExhausted {
+                cycle_budget: 1_000_000,
+                repetitions: [7, 0],
+                target: [10, 0],
             }),
         }
     }
@@ -713,6 +720,23 @@ mod tests {
         j.record_cell(key, &sample_measured(CellStatus::Crashed));
         j.record_cell(key, &sample_measured(CellStatus::Skipped));
         assert_eq!(j.cell_count(), 0, "both must be retried on resume");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn deadline_degraded_cells_are_never_journaled() {
+        let dir = tmp_dir("deadline");
+        let key = CellKey(9);
+        {
+            let j = ResultJournal::create(&dir).unwrap();
+            let mut m = sample_measured(CellStatus::Degraded);
+            m.error = Some(SimError::Deadline { phase: "measure" });
+            j.record_cell(key, &m);
+            assert_eq!(j.cell_count(), 0, "a wall-clock outcome is not stored");
+        }
+        let (j, stats) = ResultJournal::resume(&dir).unwrap();
+        assert_eq!(stats.entries, 0);
+        assert!(j.lookup_cell(key).is_none(), "--resume must retry the cell");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -420,15 +420,6 @@ impl Experiments {
         self
     }
 
-    /// Returns this context with warm-state checkpoint sharing switched
-    /// on or off (the `--reuse-warmup` flag of the binaries).
-    #[must_use]
-    pub fn with_reuse_warmup(mut self, reuse: bool) -> Experiments {
-        self.reuse_warmup = reuse;
-        self.core.plan.warm_reuse = reuse;
-        self
-    }
-
     /// Returns this context with a write-ahead result journal attached
     /// (the `--journal` flag of the binaries).
     #[must_use]

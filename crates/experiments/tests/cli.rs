@@ -31,16 +31,13 @@ fn help_exits_zero_and_documents_the_exit_codes() {
 }
 
 #[test]
-fn help_documents_the_plan_flag_and_its_deprecated_shims() {
+fn help_documents_the_plan_flag_without_deprecated_shims() {
     let out = repro().arg("--help").output().expect("repro runs");
     assert_eq!(out.status.code(), Some(0));
     let text = String::from_utf8(out.stdout).expect("help is UTF-8");
     assert!(text.contains("--plan SPEC"), "help documents --plan");
-    for line in [
-        "deprecated: same as --plan detailed+ff",
-        "deprecated: adds +reuse to the plan",
-    ] {
-        assert!(text.contains(line), "help is missing {line:?}");
+    for flag in ["--fast-forward", "--reuse-warmup", "deprecated"] {
+        assert!(!text.contains(flag), "help still lists {flag:?}");
     }
 }
 

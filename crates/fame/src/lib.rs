@@ -40,19 +40,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use p5_core::{
-    CancelToken, Chip, CoreId, MeasureMode, SamplingConfig, SimError, SmtCore, WarmupMode,
-};
+use p5_core::{CancelToken, MeasureMode, SamplingConfig, SimError, SmtCore, WarmupMode};
 use p5_isa::{AccessPattern, ThreadId};
-
-/// Cycles between chip-level convergence, stall and cancellation
-/// checks. Larger than the single-core check period (256) because in
-/// threaded chip modes every chunk spawns a thread scope; 4096
-/// amortizes that cost. It is the same for *every* chip mode —
-/// including [`ChipParallelism::Serial`](p5_core::ChipParallelism) — so
-/// serial and threaded-deterministic chip measurements see identical
-/// chunking and stay bit-identical.
-const CHIP_CHECK_PERIOD: u64 = 4096;
 
 /// The warm-up cycle budget, folded into one validated struct (it used
 /// to be three loose `warmup_*` fields on [`FameConfig`]).
@@ -408,37 +397,6 @@ impl FameReport {
     }
 }
 
-/// Result of one FAME measurement of a two-core [`Chip`]: one
-/// [`FameReport`] per core, measured *simultaneously*, so the cores
-/// interact through the shared L2/L3 for the whole measurement — see
-/// [`FameRunner::try_measure_chip`]. An idle core carries an empty
-/// report (`threads == [None, None]`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChipReport {
-    /// Per-core reports, indexed by [`CoreId::index`].
-    pub cores: [FameReport; 2],
-}
-
-impl ChipReport {
-    /// The report of one core.
-    #[must_use]
-    pub fn core(&self, id: CoreId) -> &FameReport {
-        &self.cores[id.index()]
-    }
-
-    /// Combined IPC of every active context on the chip.
-    #[must_use]
-    pub fn total_ipc(&self) -> f64 {
-        self.cores.iter().map(FameReport::total_ipc).sum()
-    }
-
-    /// Whether every active thread of every core converged.
-    #[must_use]
-    pub fn converged(&self) -> bool {
-        self.cores.iter().all(FameReport::converged)
-    }
-}
-
 /// Runs FAME measurements over a prepared [`SmtCore`] (programs loaded,
 /// priorities set).
 #[derive(Debug, Clone)]
@@ -742,234 +700,9 @@ impl FameRunner {
         }
         Ok(tracker.finalize(core, warmup))
     }
-
-    /// Whether any context of any core has a program loaded.
-    fn chip_has_active_thread(chip: &Chip) -> bool {
-        CoreId::ALL
-            .iter()
-            .any(|&c| ThreadId::ALL.iter().any(|&t| chip.core(c).is_active(t)))
-    }
-
-    /// The chip counterpart of [`stall_check`](FameRunner::stall_check):
-    /// every core that has an active thread must keep committing.
-    fn chip_stall_check(&self, chip: &Chip) -> Result<(), SimError> {
-        for c in CoreId::ALL {
-            let core = chip.core(c);
-            if !ThreadId::ALL.iter().any(|&t| core.is_active(t)) {
-                continue;
-            }
-            let watchdog = core.config().watchdog_stall_cycles;
-            if watchdog != 0 && core.stalled_cycles() >= watchdog {
-                return Err(SimError::ForwardProgressStall {
-                    snapshot: Box::new(core.diagnostic_snapshot()),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs *only* the chip warm-up phase and returns its length in
-    /// cycles — the dual-core counterpart of
-    /// [`warm_only`](FameRunner::warm_only). The budget is the maximum
-    /// of the two cores' single-core budgets (the cores warm
-    /// simultaneously, so the lighter core simply idles warm). A
-    /// functional warm-up fast-forwards each core in program order,
-    /// one core at a time — single-threaded by construction, so the
-    /// warm state is identical in every [`ChipParallelism`] mode; a
-    /// detailed warm-up drives both cores through
-    /// [`Chip::try_run_cycles`] under the configured chip mode.
-    ///
-    /// [`ChipParallelism`]: p5_core::ChipParallelism
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::NoActiveThread`] if no context of either core has a
-    /// program loaded; [`SimError::ForwardProgressStall`] if a core's
-    /// watchdog trips during a detailed warm-up; [`SimError::Deadline`]
-    /// if the cancellation token expires.
-    pub fn warm_only_chip(&self, chip: &mut Chip) -> Result<u64, SimError> {
-        if !Self::chip_has_active_thread(chip) {
-            return Err(SimError::NoActiveThread);
-        }
-        self.deadline_check("warmup")?;
-        let warmup = CoreId::ALL
-            .iter()
-            .map(|&c| self.warmup_budget(chip.core(c)))
-            .max()
-            .unwrap_or(0);
-        match chip.core(CoreId::C0).config().plan.warmup {
-            WarmupMode::Functional => {
-                for c in CoreId::ALL {
-                    if ThreadId::ALL.iter().any(|&t| chip.core(c).is_active(t)) {
-                        chip.core_mut(c).functional_warmup(warmup);
-                    }
-                }
-            }
-            WarmupMode::Detailed => {
-                let mut warmed: u64 = 0;
-                while warmed < warmup {
-                    let n = CHIP_CHECK_PERIOD.min(warmup - warmed);
-                    let ran = chip.try_run_cycles(n, self.cancel.as_ref());
-                    warmed += ran;
-                    self.chip_stall_check(chip)?;
-                    if ran < n {
-                        return Err(SimError::Deadline { phase: "warmup" });
-                    }
-                }
-            }
-        }
-        chip.reset_stats();
-        Ok(warmup)
-    }
-
-    /// Measures both cores of a prepared [`Chip`] simultaneously — the
-    /// cores interact through the shared L2/L3 for the whole
-    /// measurement, under whatever [`ChipParallelism`] the chip is
-    /// configured with (the FAME phases themselves are mode-agnostic:
-    /// every simulated cycle goes through [`Chip::try_run_cycles`], so
-    /// the cancellation token is polled on both threads in threaded
-    /// modes). An idle core yields an empty per-core report.
-    ///
-    /// [`ChipParallelism`]: p5_core::ChipParallelism
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::NoActiveThread`] if no context of either core has a
-    /// program loaded; [`SimError::ForwardProgressStall`] if a core's
-    /// watchdog trips; [`SimError::Deadline`] if the cancellation token
-    /// expires in either phase.
-    pub fn try_measure_chip(&self, chip: &mut Chip) -> Result<ChipReport, SimError> {
-        let warmup = self.warm_only_chip(chip)?;
-        match chip.core(CoreId::C0).config().plan.measure {
-            MeasureMode::Detailed => self.measure_chip_detailed(chip, warmup),
-            MeasureMode::Sampled(sampling) => self.measure_chip_sampled(chip, warmup, sampling),
-        }
-    }
-
-    /// Panicking wrapper of [`try_measure_chip`](FameRunner::try_measure_chip).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no context of either core has a program loaded, or on
-    /// any error `try_measure_chip` reports.
-    pub fn measure_chip(&self, chip: &mut Chip) -> ChipReport {
-        match self.try_measure_chip(chip) {
-            Ok(report) => report,
-            Err(SimError::NoActiveThread) => {
-                panic!("FAME needs at least one active thread on the chip")
-            }
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// The exhaustive FAME repetition loop over both cores at once.
-    fn measure_chip_detailed(&self, chip: &mut Chip, warmup: u64) -> Result<ChipReport, SimError> {
-        let mut trackers = [
-            ConvergenceTracker::new(chip.core(CoreId::C0)),
-            ConvergenceTracker::new(chip.core(CoreId::C1)),
-        ];
-        let deadline = self.config.max_cycles;
-        while !trackers.iter().all(ConvergenceTracker::all_done)
-            && chip.core(CoreId::C0).stats().cycles < deadline
-        {
-            let ran = chip.try_run_cycles(CHIP_CHECK_PERIOD, self.cancel.as_ref());
-            self.chip_stall_check(chip)?;
-            if ran < CHIP_CHECK_PERIOD {
-                return Err(SimError::Deadline { phase: "measure" });
-            }
-            for c in CoreId::ALL {
-                trackers[c.index()].observe(chip.core(c), &self.config);
-            }
-        }
-        Ok(ChipReport {
-            cores: [
-                trackers[0].finalize(chip.core(CoreId::C0), warmup),
-                trackers[1].finalize(chip.core(CoreId::C1), warmup),
-            ],
-        })
-    }
-
-    /// Interval sampling over both cores: detailed intervals run the
-    /// whole chip (shared-cache interaction intact), fast-forward
-    /// periods run each active core's functional engine in turn.
-    fn measure_chip_sampled(
-        &self,
-        chip: &mut Chip,
-        warmup: u64,
-        sampling: SamplingConfig,
-    ) -> Result<ChipReport, SimError> {
-        let active: Vec<(CoreId, ThreadId)> = CoreId::ALL
-            .iter()
-            .flat_map(|&c| ThreadId::ALL.iter().map(move |&t| (c, t)))
-            .filter(|&(c, t)| chip.core(c).is_active(t))
-            .collect();
-        let mut samples: [[Vec<f64>; 2]; 2] = Default::default();
-        let mut done: [[bool; 2]; 2] = [[true; 2]; 2];
-        for &(c, t) in &active {
-            done[c.index()][t.index()] = false;
-        }
-        let all_done = |done: &[[bool; 2]; 2]| done.iter().flatten().all(|&d| d);
-        let deadline = self.config.max_cycles;
-        while !all_done(&done) && chip.core(CoreId::C0).stats().cycles < deadline {
-            let before: Vec<u64> = active
-                .iter()
-                .map(|&(c, t)| chip.core(c).stats().thread(t).committed)
-                .collect();
-            let ran = chip.try_run_cycles(sampling.interval, self.cancel.as_ref());
-            self.chip_stall_check(chip)?;
-            if ran < sampling.interval {
-                return Err(SimError::Deadline { phase: "measure" });
-            }
-            for (k, &(c, t)) in active.iter().enumerate() {
-                let delta = chip.core(c).stats().thread(t).committed - before[k];
-                let bucket = &mut samples[c.index()][t.index()];
-                bucket.push(delta as f64 / sampling.interval as f64);
-                if done[c.index()][t.index()] || bucket.len() < self.config.min_repetitions {
-                    continue;
-                }
-                let est = Estimate::from_samples(bucket);
-                if est.ci95 <= self.config.maiv * est.value {
-                    done[c.index()][t.index()] = true;
-                }
-            }
-            if !all_done(&done) && chip.core(CoreId::C0).stats().cycles < deadline {
-                for c in CoreId::ALL {
-                    if ThreadId::ALL.iter().any(|&t| chip.core(c).is_active(t)) {
-                        chip.core_mut(c).functional_warmup(sampling.period);
-                    }
-                }
-            }
-        }
-
-        let mut cores: [FameReport; 2] = [
-            FameReport {
-                threads: [None, None],
-                measured_cycles: chip.core(CoreId::C0).stats().cycles,
-                warmup_cycles: warmup,
-            },
-            FameReport {
-                threads: [None, None],
-                measured_cycles: chip.core(CoreId::C1).stats().cycles,
-                warmup_cycles: warmup,
-            },
-        ];
-        for &(c, t) in &active {
-            let bucket = &samples[c.index()][t.index()];
-            let est = Estimate::from_samples(bucket);
-            cores[c.index()].threads[t.index()] = Some(ThreadMeasurement {
-                repetitions: bucket.len(),
-                avg_repetition_cycles: sampling.interval as f64,
-                ipc: est.value,
-                converged: done[c.index()][t.index()],
-                estimate: est,
-            });
-        }
-        Ok(ChipReport { cores })
-    }
 }
 
-/// Per-core MAIV convergence state shared by the single-core and chip
-/// detailed measurement loops.
+/// Per-thread MAIV convergence state of the detailed measurement loop.
 #[derive(Debug)]
 struct ConvergenceTracker {
     last_ipc: [Option<f64>; 2],
@@ -1505,94 +1238,6 @@ mod tests {
             std::time::Duration::from_secs(3600),
         )));
         assert_eq!(plain, tokened, "a live token must not perturb the measurement");
-    }
-
-    fn loaded_chip(plan: p5_core::ExecutionPlan) -> p5_core::Chip {
-        let mut cfg = CoreConfig::tiny_for_tests();
-        cfg.plan = plan;
-        let mut chip = p5_core::Chip::new(cfg);
-        chip.core_mut(CoreId::C0)
-            .load_program(ThreadId::T0, chase_program(8 * 1024, 200));
-        chip.core_mut(CoreId::C1)
-            .load_program(ThreadId::T0, cpu_program(50));
-        chip
-    }
-
-    #[test]
-    fn chip_measurement_converges_on_both_cores() {
-        let mut chip = loaded_chip(p5_core::ExecutionPlan::detailed());
-        let report = FameRunner::new(FameConfig::quick()).measure_chip(&mut chip);
-        assert!(report.converged(), "{report:?}");
-        for c in CoreId::ALL {
-            let m = report.core(c).thread(ThreadId::T0).unwrap();
-            assert!(m.ipc > 0.0, "{c:?}: {m:?}");
-            assert!(m.repetitions >= 3, "{c:?}: {m:?}");
-        }
-        let sum = report.core(CoreId::C0).total_ipc() + report.core(CoreId::C1).total_ipc();
-        assert!((report.total_ipc() - sum).abs() < 1e-12);
-    }
-
-    #[test]
-    fn chip_measurement_is_bit_identical_across_deterministic_modes() {
-        use p5_core::ChipParallelism;
-        let run = |chip_mode: ChipParallelism| {
-            let plan = p5_core::ExecutionPlan::detailed().with_chip(chip_mode);
-            let mut chip = loaded_chip(plan);
-            FameRunner::new(FameConfig::quick()).measure_chip(&mut chip)
-        };
-        let serial = run(ChipParallelism::Serial);
-        let threaded = run(ChipParallelism::Threaded { quantum: 1 });
-        assert_eq!(serial, threaded, "determinism mode must not change a single bit");
-    }
-
-    #[test]
-    fn chip_sampled_measurement_reports_intervals() {
-        let plan = p5_core::ExecutionPlan::sampled(SamplingConfig {
-            interval: 2_048,
-            period: 8_192,
-        });
-        let mut chip = loaded_chip(plan);
-        let report = FameRunner::new(FameConfig::quick()).measure_chip(&mut chip);
-        for c in CoreId::ALL {
-            let m = report.core(c).thread(ThreadId::T0).unwrap();
-            assert_eq!(m.estimate.samples as usize, m.repetitions, "{c:?}");
-            assert!(m.repetitions >= 3, "{c:?}: {m:?}");
-            assert_eq!(m.ipc, m.estimate.value, "{c:?}");
-        }
-    }
-
-    #[test]
-    fn chip_measurement_of_idle_chip_is_typed_error() {
-        let mut chip = p5_core::Chip::new(CoreConfig::tiny_for_tests());
-        let err = FameRunner::new(FameConfig::quick())
-            .try_measure_chip(&mut chip)
-            .expect_err("no program loaded on either core");
-        assert_eq!(err, SimError::NoActiveThread);
-    }
-
-    #[test]
-    fn chip_measurement_with_idle_second_core_leaves_it_empty() {
-        let mut chip = p5_core::Chip::new(CoreConfig::tiny_for_tests());
-        chip.core_mut(CoreId::C0)
-            .load_program(ThreadId::T0, cpu_program(50));
-        let report = FameRunner::new(FameConfig::quick()).measure_chip(&mut chip);
-        assert!(report.core(CoreId::C0).thread(ThreadId::T0).is_some());
-        assert_eq!(report.core(CoreId::C1).threads, [None, None]);
-        assert!(report.converged());
-    }
-
-    #[test]
-    fn chip_measurement_with_expired_token_aborts() {
-        for quantum in [1u64, 512] {
-            let plan = p5_core::ExecutionPlan::detailed()
-                .with_chip(p5_core::ChipParallelism::Threaded { quantum });
-            let mut chip = loaded_chip(plan);
-            let err = FameRunner::new(FameConfig::quick())
-                .with_cancel(p5_core::CancelToken::with_budget(std::time::Duration::ZERO))
-                .try_measure_chip(&mut chip)
-                .expect_err("expired token must abort the chip run");
-            assert!(matches!(err, SimError::Deadline { .. }), "{err:?}");
-        }
     }
 
     #[test]

@@ -105,10 +105,11 @@ impl SharedCaches {
     }
 
     // `Arc<Mutex<_>>` (rather than `Rc<RefCell<_>>`) makes a hierarchy —
-    // and the core that owns it — `Send`, so the campaign engine can run
-    // one simulation per worker thread. Within one chip the simulation
-    // is still single-threaded, so the locks are never contended; each
-    // access is a single uncontested atomic.
+    // and the core that owns it — `Send`. The locks can be contended: a
+    // threaded chip (`ChipParallelism::Threaded`) runs its two cores on
+    // two OS threads that both reach the shared L2, L3 and DTLB through
+    // them. A serial chip, and the quantum-1 turnstile that admits one
+    // core at a time, leave them uncontended.
     //
     // Poisoning is *recovered*, not propagated: a panic can only leave a
     // guard mid-flight on the panicking worker's own chip, and every
@@ -145,9 +146,8 @@ struct PrivateLevels {
 /// fields, so an access touches no `Arc`, no `Mutex` and no atomics at
 /// all. `Shared` routes through [`SharedCaches`] handles and exists only
 /// for the dual-core `Chip`, where both cores must see one another's
-/// traffic (and the locks, while always uncontended within one
-/// simulation thread, keep the hierarchy `Send` for the campaign
-/// worker pool).
+/// traffic — from two OS threads when the chip runs threaded, so the
+/// locks can be contended.
 #[derive(Debug)]
 enum Levels {
     Private(Box<PrivateLevels>),

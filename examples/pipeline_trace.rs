@@ -1,17 +1,20 @@
-//! Watch the priority mechanism at instruction granularity: a short
-//! pipeline trace of two threads under a (6,4) priority pair.
+//! Watch the priority mechanism at cycle granularity: the decode-slot
+//! pattern of two threads under a (6,4) priority pair, read from the
+//! performance-monitoring unit.
 //!
-//! Every decode, issue, group retirement, branch redirect and priority
-//! change is recorded; the printed trace makes the Equation-1 slot
-//! pattern directly visible (seven T0 decode bursts for every T1 burst).
+//! The PMU's `decode_granted` counters record which context owned each
+//! decode cycle; stepping the core one cycle at a time and diffing them
+//! makes the Equation-1 slot pattern directly visible (seven T0 decode
+//! cycles for every T1 cycle).
 //!
 //! ```text
 //! cargo run --release --example pipeline_trace
 //! ```
 
-use p5repro::core::{CoreConfig, SmtCore, TraceKind};
+use p5repro::core::{CoreConfig, SmtCore};
 use p5repro::isa::{Priority, ThreadId};
 use p5repro::microbench::MicroBenchmark;
+use p5repro::pmu::PmuConfig;
 
 fn main() {
     let mut core = SmtCore::new(CoreConfig::power5_like());
@@ -19,26 +22,28 @@ fn main() {
     core.load_program(ThreadId::T1, MicroBenchmark::CpuInt.program());
     core.set_priority(ThreadId::T0, Priority::High); // (6,4): R = 8
 
-    // Warm the pipeline, then record a short window.
+    // Warm the pipeline, then watch a short window cycle by cycle.
     core.run_cycles(10_000);
-    core.enable_trace(120);
-    core.run_cycles(40);
-    let trace = core.take_trace().expect("tracing was enabled");
+    core.enable_pmu(PmuConfig::counters_only());
+    let granted = |c: &SmtCore| c.pmu().expect("PMU enabled").counters().decode_granted;
+    let mut pattern = String::new();
+    for _ in 0..48 {
+        let before = granted(&core);
+        core.step();
+        let after = granted(&core);
+        pattern.push(match (after[0] > before[0], after[1] > before[1]) {
+            (true, _) => '0',
+            (_, true) => '1',
+            _ => '.',
+        });
+    }
+    let totals = granted(&core);
 
-    println!("pipeline trace, priorities (6,4) — last {} events:\n", trace.len());
-    print!("{}", trace.render());
-
-    // Quantify the slot pattern from the trace itself.
-    let decodes = |t: ThreadId| {
-        trace
-            .for_thread(t)
-            .filter(|e| matches!(e.kind, TraceKind::Decoded { .. }))
-            .count()
-    };
-    let d0 = decodes(ThreadId::T0);
-    let d1 = decodes(ThreadId::T1);
+    println!("decode-slot owner per cycle, priorities (6,4) (0 = T0, 1 = T1):\n");
+    println!("  {pattern}");
     println!(
-        "\ndecode events in the window: T0 {d0}, T1 {d1} — Equation 1 gives the\n\
-         higher-priority thread 7 of every 8 decode cycles at a +2 difference."
+        "\ngranted decode cycles in the window: T0 {}, T1 {} — Equation 1 gives the\n\
+         higher-priority thread 7 of every 8 decode cycles at a +2 difference.",
+        totals[0], totals[1]
     );
 }

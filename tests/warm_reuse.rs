@@ -14,8 +14,10 @@ use p5repro::microbench::MicroBenchmark;
 
 /// The fast context on the tiny test core (mirrors `tests/determinism.rs`).
 fn ctx(jobs: usize, reuse: bool) -> Experiments {
+    let core = CoreConfig::tiny_for_tests();
+    let plan = core.plan.with_warm_reuse(reuse);
     Experiments::with_configs(
-        CoreConfig::tiny_for_tests(),
+        core,
         FameConfig {
             maiv: 0.05,
             stable_window: 2,
@@ -29,7 +31,7 @@ fn ctx(jobs: usize, reuse: bool) -> Experiments {
         },
     )
     .with_jobs(jobs)
-    .with_reuse_warmup(reuse)
+    .with_plan(plan)
 }
 
 /// Restore-then-measure equals warm-then-measure, bit for bit, for every
