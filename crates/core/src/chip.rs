@@ -101,7 +101,7 @@ impl Chip {
     ///
     /// # Panics
     ///
-    /// Panics if `config` is invalid (see [`CoreConfig::validate`]).
+    /// Panics if `config` is invalid (see [`CoreConfig::try_validate`]).
     #[must_use]
     pub fn new(config: CoreConfig) -> Chip {
         let parallelism = config.plan.chip;

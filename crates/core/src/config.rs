@@ -4,36 +4,6 @@ use crate::error::SimError;
 use p5_mem::MemConfig;
 use std::fmt;
 
-/// A configuration rejected by [`CoreConfigBuilder::build`].
-///
-/// Carries the offending field plus a human-readable reason, and
-/// converts into [`SimError::InvalidConfig`] for callers that propagate
-/// simulator errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigError {
-    /// The field (or field pair, for cross-field checks) at fault.
-    pub field: &'static str,
-    /// Why the value was rejected.
-    pub message: String,
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid core configuration ({}): {}", self.field, self.message)
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-impl From<ConfigError> for SimError {
-    fn from(e: ConfigError) -> SimError {
-        SimError::InvalidConfig {
-            field: e.field,
-            message: e.message,
-        }
-    }
-}
-
 /// Execution latencies per instruction class, in cycles from issue to
 /// result availability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -592,18 +562,28 @@ impl CoreConfig {
         }
     }
 
-    /// Validates structural parameters, returning a typed error.
+    /// Validates the configuration, returning a typed error. This is the
+    /// one validator: [`SmtCore::try_new`](crate::SmtCore::try_new),
+    /// [`SmtCore::new`](crate::SmtCore::new) and [`Chip`](crate::Chip)
+    /// construction all run it.
     ///
     /// `lmq_entries == 0` is deliberately allowed (see the field docs):
     /// it is the canonical way to build a wedged core for watchdog
-    /// tests. Everything else that would make the pipeline degenerate is
+    /// tests. For the same reason the balancer's miss cap is not checked
+    /// against the LMQ size — a cap above the LMQ simply never binds.
+    /// Everything else that would make the pipeline degenerate is
     /// rejected.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] naming the offending field if
-    /// any width, queue or table size is zero (other than the LMQ) or
-    /// the watchdog window is absurdly small.
+    /// any width, queue or table size is zero (other than the LMQ), the
+    /// watchdog window is absurdly small, the plan's sampling schedule or
+    /// chip quantum is zero, an enabled balancer's caps are zero or
+    /// exceed what they police (GCT cap above `gct_entries`, deep-miss
+    /// cap above the plain GCT cap), an execution latency is zero or an
+    /// occupancy lies outside `1..=latency`, or the memory hierarchy's
+    /// geometry is invalid (field `mem`).
     pub fn try_validate(&self) -> Result<(), SimError> {
         fn nonzero(field: &'static str, n: usize) -> Result<(), SimError> {
             if n == 0 {
@@ -667,191 +647,25 @@ impl CoreConfig {
                 message: "threaded chip needs a nonzero sync quantum".into(),
             });
         }
-        self.mem.validate();
-        Ok(())
-    }
-
-    /// Validates structural parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`CoreConfig::try_validate`] rejects the configuration.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
-    /// A validating fluent builder, seeded with the
-    /// [`CoreConfig::power5_like`] defaults.
-    ///
-    /// Unlike constructing the struct directly, [`CoreConfigBuilder::build`]
-    /// rejects degenerate GCT/LMQ/latency combinations up front — including
-    /// the deliberately pathological `lmq_entries == 0` that the raw struct
-    /// permits for watchdog tests.
-    #[must_use]
-    pub fn builder() -> CoreConfigBuilder {
-        CoreConfigBuilder {
-            config: CoreConfig::power5_like(),
-        }
-    }
-}
-
-/// Fluent, validating builder for [`CoreConfig`]. Obtain via
-/// [`CoreConfig::builder`]; every setter returns `self`, and
-/// [`CoreConfigBuilder::build`] validates the whole configuration —
-/// per-field structural checks plus the cross-field invariants (balancer
-/// caps versus table sizes, execution-unit occupancies versus latencies)
-/// that a hand-rolled struct literal can silently violate.
-#[derive(Debug, Clone)]
-pub struct CoreConfigBuilder {
-    config: CoreConfig,
-}
-
-impl CoreConfigBuilder {
-    /// Instructions decoded per decode cycle.
-    #[must_use]
-    pub fn decode_width(mut self, width: usize) -> Self {
-        self.config.decode_width = width;
-        self
-    }
-
-    /// Global Completion Table entries.
-    #[must_use]
-    pub fn gct_entries(mut self, entries: usize) -> Self {
-        self.config.gct_entries = entries;
-        self
-    }
-
-    /// Load-miss-queue entries. `build` rejects zero — use a raw struct
-    /// literal when a deliberately wedged core is wanted.
-    #[must_use]
-    pub fn lmq_entries(mut self, entries: usize) -> Self {
-        self.config.lmq_entries = entries;
-        self
-    }
-
-    /// Branch mispredict penalty in cycles.
-    #[must_use]
-    pub fn mispredict_penalty(mut self, cycles: u64) -> Self {
-        self.config.mispredict_penalty = cycles;
-        self
-    }
-
-    /// Execution latencies.
-    #[must_use]
-    pub fn latencies(mut self, latencies: OpLatencies) -> Self {
-        self.config.latencies = latencies;
-        self
-    }
-
-    /// Dynamic resource balancer configuration.
-    #[must_use]
-    pub fn balancer(mut self, balancer: BalancerConfig) -> Self {
-        self.config.balancer = balancer;
-        self
-    }
-
-    /// Memory hierarchy configuration.
-    #[must_use]
-    pub fn mem(mut self, mem: MemConfig) -> Self {
-        self.config.mem = mem;
-        self
-    }
-
-    /// Low-power-mode decode period (both threads at priority 1).
-    #[must_use]
-    pub fn low_power_decode_period(mut self, period: u64) -> Self {
-        self.config.low_power_decode_period = period;
-        self
-    }
-
-    /// RNG seed for data-dependent branch outcomes.
-    #[must_use]
-    pub fn rng_seed(mut self, seed: u64) -> Self {
-        self.config.rng_seed = seed;
-        self
-    }
-
-    /// Whether idle decode slots are offered to the sibling (ablation).
-    #[must_use]
-    pub fn steal_idle_decode_slots(mut self, steal: bool) -> Self {
-        self.config.steal_idle_decode_slots = steal;
-        self
-    }
-
-    /// Forward-progress watchdog window (0 disables).
-    #[must_use]
-    pub fn watchdog_stall_cycles(mut self, cycles: u64) -> Self {
-        self.config.watchdog_stall_cycles = cycles;
-        self
-    }
-
-    /// The full execution plan (default: [`ExecutionPlan::detailed`]).
-    #[must_use]
-    pub fn plan(mut self, plan: ExecutionPlan) -> Self {
-        self.config.plan = plan;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if any per-field check of
-    /// [`CoreConfig::try_validate`] fails, if `lmq_entries` is zero, if an
-    /// enabled balancer's caps exceed the tables they police (GCT cap
-    /// above `gct_entries`, miss cap above `lmq_entries`, deep-miss cap
-    /// above the plain GCT cap, or any cap zero), or if an execution-unit
-    /// occupancy is zero or exceeds its operation's latency.
-    pub fn build(self) -> Result<CoreConfig, ConfigError> {
-        let c = self.config;
-        if let Err(e) = c.try_validate() {
-            return Err(match e {
-                SimError::InvalidConfig { field, message } => ConfigError { field, message },
-                other => ConfigError {
-                    field: "config",
-                    message: other.to_string(),
-                },
-            });
-        }
-        if c.lmq_entries == 0 {
-            return Err(ConfigError {
-                field: "lmq_entries",
-                message: "LMQ must have at least one entry (beyond-L1 misses \
-                          could never issue); build the struct directly for \
-                          deliberately wedged watchdog-test cores"
-                    .into(),
-            });
-        }
-        if c.balancer.enabled {
-            let b = &c.balancer;
+        if self.balancer.enabled {
+            let b = &self.balancer;
             if b.gct_cap_per_thread == 0 || b.miss_cap_per_thread == 0 || b.gct_cap_deep_miss == 0 {
-                return Err(ConfigError {
+                return Err(SimError::InvalidConfig {
                     field: "balancer",
                     message: "an enabled balancer cap of 0 would stall decode forever".into(),
                 });
             }
-            if b.gct_cap_per_thread > c.gct_entries {
-                return Err(ConfigError {
+            if b.gct_cap_per_thread > self.gct_entries {
+                return Err(SimError::InvalidConfig {
                     field: "balancer.gct_cap_per_thread",
                     message: format!(
                         "GCT cap {} exceeds the {}-entry GCT it polices",
-                        b.gct_cap_per_thread, c.gct_entries
-                    ),
-                });
-            }
-            if b.miss_cap_per_thread > c.lmq_entries {
-                return Err(ConfigError {
-                    field: "balancer.miss_cap_per_thread",
-                    message: format!(
-                        "miss cap {} exceeds the {}-entry LMQ it polices",
-                        b.miss_cap_per_thread, c.lmq_entries
+                        b.gct_cap_per_thread, self.gct_entries
                     ),
                 });
             }
             if b.gct_cap_deep_miss > b.gct_cap_per_thread {
-                return Err(ConfigError {
+                return Err(SimError::InvalidConfig {
                     field: "balancer.gct_cap_deep_miss",
                     message: format!(
                         "deep-miss GCT cap {} exceeds the plain GCT cap {}",
@@ -860,7 +674,7 @@ impl CoreConfigBuilder {
                 });
             }
         }
-        let l = &c.latencies;
+        let l = &self.latencies;
         for (field, latency) in [
             ("latencies.int_alu", l.int_alu),
             ("latencies.int_mul", l.int_mul),
@@ -871,7 +685,7 @@ impl CoreConfigBuilder {
             ("latencies.store", l.store),
         ] {
             if latency == 0 {
-                return Err(ConfigError {
+                return Err(SimError::InvalidConfig {
                     field,
                     message: "execution latency must be at least one cycle".into(),
                 });
@@ -883,7 +697,7 @@ impl CoreConfigBuilder {
             ("latencies.fp_div_occupancy", l.fp_div_occupancy, l.fp_div),
         ] {
             if occupancy == 0 || occupancy > latency {
-                return Err(ConfigError {
+                return Err(SimError::InvalidConfig {
                     field,
                     message: format!(
                         "issue-to-issue occupancy {occupancy} must be in 1..={latency} \
@@ -892,7 +706,9 @@ impl CoreConfigBuilder {
                 });
             }
         }
-        Ok(c)
+        self.mem
+            .validate()
+            .map_err(|message| SimError::InvalidConfig { field: "mem", message })
     }
 }
 
@@ -908,19 +724,13 @@ mod tests {
 
     #[test]
     fn defaults_validate() {
-        CoreConfig::power5_like().validate();
-        CoreConfig::tiny_for_tests().validate();
-        CoreConfig::default().validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "decode width")]
-    fn zero_decode_width_panics() {
-        let cfg = CoreConfig {
-            decode_width: 0,
-            ..CoreConfig::power5_like()
-        };
-        cfg.validate();
+        for cfg in [
+            CoreConfig::power5_like(),
+            CoreConfig::tiny_for_tests(),
+            CoreConfig::default(),
+        ] {
+            assert_eq!(cfg.try_validate(), Ok(()));
+        }
     }
 
     #[test]
@@ -931,103 +741,43 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_match_power5_like() {
-        let built = CoreConfig::builder().build().expect("defaults valid");
-        assert_eq!(built, CoreConfig::power5_like());
+    fn try_validate_names_the_offending_field() {
+        type Breakage = fn(&mut CoreConfig);
+        let cases: [(&str, Breakage); 8] = [
+            ("decode_width", |c| c.decode_width = 0),
+            ("gct_entries", |c| c.gct_entries = 1),
+            ("balancer", |c| c.balancer.miss_cap_per_thread = 0),
+            ("balancer.gct_cap_per_thread", |c| c.gct_entries = 16),
+            ("balancer.gct_cap_deep_miss", |c| c.balancer.gct_cap_per_thread = 12),
+            ("latencies.fp_alu", |c| c.latencies.fp_alu = 0),
+            ("latencies.int_mul_occupancy", |c| c.latencies.int_mul_occupancy = 9),
+            ("mem", |c| c.mem.l1d.line_bytes = 100),
+        ];
+        for (field, break_it) in cases {
+            let mut cfg = CoreConfig::power5_like();
+            break_it(&mut cfg);
+            match cfg.try_validate() {
+                Err(SimError::InvalidConfig { field: got, .. }) => assert_eq!(got, field),
+                other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]
-    fn builder_setters_apply() {
-        let c = CoreConfig::builder()
-            .decode_width(4)
-            .gct_entries(16)
-            .lmq_entries(4)
-            .rng_seed(7)
-            .watchdog_stall_cycles(0)
-            .balancer(BalancerConfig {
-                enabled: true,
-                gct_cap_per_thread: 14,
-                miss_cap_per_thread: 3,
-                gct_cap_deep_miss: 10,
-            })
-            .build()
-            .expect("valid");
-        assert_eq!(c.decode_width, 4);
-        assert_eq!(c.gct_entries, 16);
-        assert_eq!(c.lmq_entries, 4);
-        assert_eq!(c.rng_seed, 7);
-        assert_eq!(c.balancer.gct_cap_deep_miss, 10);
-    }
-
-    #[test]
-    fn builder_rejects_zero_lmq() {
-        let err = CoreConfig::builder().lmq_entries(0).build().unwrap_err();
-        assert_eq!(err.field, "lmq_entries");
-    }
-
-    #[test]
-    fn builder_rejects_balancer_cap_above_gct() {
-        let err = CoreConfig::builder()
-            .gct_entries(10)
-            .balancer(BalancerConfig {
-                enabled: true,
-                gct_cap_per_thread: 12,
-                miss_cap_per_thread: 4,
-                gct_cap_deep_miss: 8,
-            })
-            .build()
-            .unwrap_err();
-        assert_eq!(err.field, "balancer.gct_cap_per_thread");
-    }
-
-    #[test]
-    fn builder_rejects_miss_cap_above_lmq() {
-        let err = CoreConfig::builder()
-            .lmq_entries(4)
-            .balancer(BalancerConfig {
-                enabled: true,
-                gct_cap_per_thread: 18,
-                miss_cap_per_thread: 6,
-                gct_cap_deep_miss: 18,
-            })
-            .build()
-            .unwrap_err();
-        assert_eq!(err.field, "balancer.miss_cap_per_thread");
-    }
-
-    #[test]
-    fn builder_accepts_disabled_balancer_caps() {
-        // usize::MAX caps are fine when the balancer is off.
-        let c = CoreConfig::builder()
-            .balancer(BalancerConfig::disabled())
-            .build()
-            .expect("disabled balancer valid");
-        assert!(!c.balancer.enabled);
-    }
-
-    #[test]
-    fn builder_rejects_occupancy_above_latency() {
-        let err = CoreConfig::builder()
-            .latencies(OpLatencies {
-                int_mul_occupancy: 9,
-                ..OpLatencies::power5_like()
-            })
-            .build()
-            .unwrap_err();
-        assert_eq!(err.field, "latencies.int_mul_occupancy");
-    }
-
-    #[test]
-    fn builder_rejects_structural_zero_via_try_validate() {
-        let err = CoreConfig::builder().decode_width(0).build().unwrap_err();
-        assert_eq!(err.field, "decode_width");
-    }
-
-    #[test]
-    fn config_error_converts_to_sim_error() {
-        let err = CoreConfig::builder().gct_entries(1).build().unwrap_err();
-        let sim: SimError = err.into();
-        assert!(matches!(sim, SimError::InvalidConfig { field: "gct_entries", .. }));
+    fn wedge_friendly_configs_stay_valid() {
+        // A disabled balancer's usize::MAX caps, a zero LMQ and a miss
+        // cap above a 1-entry LMQ are legal: the watchdog and idle-skip
+        // tests build exactly these cores.
+        let cases: [fn(&mut CoreConfig); 3] = [
+            |c| c.balancer = BalancerConfig::disabled(),
+            |c| c.lmq_entries = 0,
+            |c| c.lmq_entries = 1,
+        ];
+        for relax in cases {
+            let mut cfg = CoreConfig::power5_like();
+            relax(&mut cfg);
+            assert_eq!(cfg.try_validate(), Ok(()));
+        }
     }
 
     #[test]

@@ -175,7 +175,7 @@ impl SmtCore {
     ///
     /// # Panics
     ///
-    /// Panics if `config` is invalid (see [`CoreConfig::validate`]).
+    /// Panics if `config` is invalid (see [`CoreConfig::try_validate`]).
     #[must_use]
     pub fn new(config: CoreConfig) -> SmtCore {
         let mem = MemoryHierarchy::new(config.mem);
@@ -201,14 +201,16 @@ impl SmtCore {
     ///
     /// # Panics
     ///
-    /// Panics if `config` is invalid (see [`CoreConfig::validate`]).
+    /// Panics if `config` is invalid (see [`CoreConfig::try_validate`]).
     #[must_use]
     pub fn with_memory(
         config: CoreConfig,
         mem: MemoryHierarchy,
         address_space_salt: u64,
     ) -> SmtCore {
-        config.validate();
+        if let Err(e) = config.try_validate() {
+            panic!("{e}");
+        }
         SmtCore {
             mem,
             predictor: Predictor::power5_like(),

@@ -76,12 +76,13 @@
 //! b.iterations(10_000);
 //! let prog = b.build()?;
 //!
-//! let config = CoreConfig::builder()
-//!     .plan(ExecutionPlan::parse("detailed+ff").unwrap())
-//!     .build()?;
+//! let config = CoreConfig {
+//!     plan: ExecutionPlan::parse("detailed+ff")?,
+//!     ..CoreConfig::power5_like()
+//! };
 //! assert_eq!(config.plan.warmup, WarmupMode::Functional);
 //!
-//! let mut core = SmtCore::new(config);
+//! let mut core = SmtCore::try_new(config)?;
 //! core.load_program(ThreadId::T0, prog);
 //! core.functional_warmup(50_000);      // fast-forward the warm phase
 //! core.reset_stats();
@@ -105,8 +106,8 @@ mod thread;
 pub use cancel::CancelToken;
 pub use chip::{Chip, CoreId};
 pub use config::{
-    BalancerConfig, ChipParallelism, ConfigError, CoreConfig, CoreConfigBuilder, ExecutionPlan,
-    MeasureMode, OpLatencies, SamplingConfig, WarmupMode,
+    BalancerConfig, ChipParallelism, CoreConfig, ExecutionPlan, MeasureMode, OpLatencies,
+    SamplingConfig, WarmupMode,
 };
 pub use engine::{RunOutcome, SmtCore, WarmState};
 pub use error::{DiagnosticSnapshot, SimError, StuckResource, ThreadDiag};

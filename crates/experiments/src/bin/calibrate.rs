@@ -13,10 +13,6 @@
 //! (the CPI-stack table re-warms every ST bench otherwise) — output is
 //! bit-identical, only wall-clock changes (DESIGN.md §12).
 //!
-//! `--chip-threads N` (1 or 2) is accepted for interface uniformity
-//! with `repro`, but calibration is single-core, so the chip
-//! scheduling mode cannot change any number printed here.
-//!
 //! Pass `--journal DIR` to journal every measured scalar (ST IPC and
 //! each SMT matrix cell) write-ahead to `DIR/journal.jsonl`, and
 //! `--resume` to replay journaled scalars bit-identically instead of
@@ -50,10 +46,7 @@ fn scalar_key(label: &str) -> CellKey {
     JOURNAL_SCHEMA_VERSION.hash(&mut h);
     label.hash(&mut h);
     FAST_FORWARD.load(Ordering::Relaxed).hash(&mut h);
-    let cfg = CoreConfig::builder()
-        .build()
-        .expect("power5_like defaults are valid");
-    format!("{cfg:?}").hash(&mut h);
+    format!("{:?}", CoreConfig::power5_like()).hash(&mut h);
     CellKey(h.finish())
 }
 
@@ -118,14 +111,9 @@ fn warm(core: &mut SmtCore, cycles: u64) {
     }
 }
 
-/// The calibrated core: the POWER5-like defaults routed through the
-/// validating builder, the same construction path the experiments use.
+/// The calibrated core: the POWER5-like defaults the experiments use.
 fn calibrated_core() -> SmtCore {
-    SmtCore::new(
-        CoreConfig::builder()
-            .build()
-            .expect("power5_like defaults are valid"),
-    )
+    SmtCore::new(CoreConfig::power5_like())
 }
 
 /// Runs to the repetition target, surfacing truncation and stalls: a
@@ -211,20 +199,6 @@ fn main() {
     let pmu_flag = args.iter().any(|a| a == "--pmu");
     FAST_FORWARD.store(args.iter().any(|a| a == "--fast-forward"), Ordering::Relaxed);
     REUSE_WARMUP.store(args.iter().any(|a| a == "--reuse-warmup"), Ordering::Relaxed);
-    // Accepted for CLI uniformity with repro and validated, but
-    // calibration measures single cores only: the chip scheduling mode
-    // cannot change any number printed here, so it is deliberately
-    // excluded from scalar_key (deterministic modes normalize to the
-    // serial key everywhere).
-    if let Some(i) = args.iter().position(|a| a == "--chip-threads") {
-        match args.get(i + 1).and_then(|n| n.parse::<u64>().ok()) {
-            Some(1 | 2) => {}
-            _ => {
-                eprintln!("--chip-threads expects 1 (serial) or 2 (deterministic threaded)");
-                std::process::exit(1);
-            }
-        }
-    }
     let journal_dir = args
         .iter()
         .position(|a| a == "--journal")

@@ -30,7 +30,7 @@
 //! chip on separate OS threads in determinism mode (bit-identical to
 //! serial); `+mt:Q` relaxes the synchronization to a Q-cycle quantum
 //! (DESIGN.md §16 — results carry a bounded interleaving error and get
-//! their own cache keys). `--chip-threads 2` is shorthand for `+mt`.
+//! their own cache keys).
 //!
 //! `--pmu` adds the per-cell CPI-stack section; `--trace <path>`
 //! additionally captures the priority-switch transient and writes it as
@@ -97,7 +97,8 @@ USAGE:
 OPTIONS:
     --quick                 reduced-fidelity smoke run
     --only LIST             comma-separated sections (table1,table2,table3,
-                            fig2,fig3,fig4,fig5,fig6,table4,mpi,noise,pmu,claims)
+                            fig2,fig3,fig4,fig5,fig6,table4,mpi,noise,pmu,claims);
+                            an unknown name is a usage error
     --csv-dir DIR           export CSV artifacts into DIR
     --json-dir DIR          export JSON artifacts into DIR
     --jobs N                campaign worker threads (default: all cores);
@@ -111,8 +112,6 @@ OPTIONS:
                             append +mt (deterministic, bit-identical) or
                             +mt:Q (relaxed Q-cycle quantum, DESIGN.md §16)
                             to run chip simulations on two threads
-    --chip-threads N        1 = serial chip (default), 2 = deterministic
-                            threaded chip (same as appending +mt to --plan)
     --pmu                   add the per-cell CPI-stack section
     --trace PATH            write the priority-switch Chrome trace to PATH
     --journal DIR           journal finished cells to DIR/journal.jsonl
@@ -137,6 +136,12 @@ EXIT CODES:
          --resume run picks up exactly where this one stopped)
 ";
 
+/// The section names `--only` accepts.
+const SECTIONS: [&str; 13] = [
+    "table1", "table2", "table3", "fig2", "fig3", "fig4", "fig5", "fig6", "table4", "mpi",
+    "noise", "pmu", "claims",
+];
+
 fn parsed_flag(args: &[String], flag: &str) -> Option<u64> {
     args.iter()
         .position(|a| a == flag)
@@ -158,11 +163,23 @@ fn main() {
         return;
     }
     let quick = args.iter().any(|a| a == "--quick");
-    let only: Option<HashSet<String>> = args
+    let only_list = args
         .iter()
         .position(|a| a == "--only")
-        .and_then(|i| args.get(i + 1))
-        .map(|list| list.split(',').map(str::to_string).collect());
+        .and_then(|i| args.get(i + 1));
+    if let Some(unknown) = only_list
+        .into_iter()
+        .flat_map(|list| list.split(','))
+        .find(|name| !SECTIONS.contains(name))
+    {
+        eprintln!(
+            "--only: unknown section {unknown:?} (valid: {})",
+            SECTIONS.join(",")
+        );
+        std::process::exit(1);
+    }
+    let only: Option<HashSet<String>> =
+        only_list.map(|list| list.split(',').map(str::to_string).collect());
     let csv_dir: Option<PathBuf> = args
         .iter()
         .position(|a| a == "--csv-dir")
@@ -174,7 +191,7 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(PathBuf::from);
     let pmu_flag = args.iter().any(|a| a == "--pmu");
-    let mut plan = match args
+    let plan = match args
         .iter()
         .position(|a| a == "--plan")
         .and_then(|i| args.get(i + 1))
@@ -188,21 +205,6 @@ fn main() {
         },
         None => p5_core::ExecutionPlan::detailed(),
     };
-    // A post-parse plan edit, so it composes with --plan. Relaxed quanta
-    // are deliberately not reachable from this flag — they change
-    // results and must be spelled out as `--plan ...+mt:Q`.
-    match parsed_flag(&args, "--chip-threads") {
-        None => {}
-        Some(1) => plan.chip = p5_core::ChipParallelism::Serial,
-        Some(2) => plan.chip = p5_core::ChipParallelism::Threaded { quantum: 1 },
-        Some(n) => {
-            eprintln!(
-                "--chip-threads expects 1 (serial) or 2 (deterministic threaded), got {n}; \
-                 for a relaxed quantum use --plan ...+mt:Q"
-            );
-            std::process::exit(1);
-        }
-    }
     let jobs: usize = match args
         .iter()
         .position(|a| a == "--jobs")

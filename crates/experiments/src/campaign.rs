@@ -82,8 +82,8 @@
 
 use crate::journal::{CellKey, StableHasher, JOURNAL_SCHEMA_VERSION};
 use crate::{CellCounts, CellStatus, Degradation, Experiments, Measured};
-use p5_core::{CancelToken, ExecutionPlan, MeasureMode, SimError, WarmState, WarmupMode};
-use p5_fame::FameRunner;
+use p5_core::{CancelToken, ExecutionPlan, MeasureMode, SimError, SmtCore, WarmState, WarmupMode};
+use p5_fame::{FameConfig, FameReport, FameRunner};
 use p5_fault::{FaultKind, FaultPlan, HostFaultKind};
 use p5_isa::{BranchBehavior, Op, Priority, Program, ThreadId};
 use std::collections::HashMap;
@@ -277,14 +277,14 @@ pub struct CampaignSpec {
 impl CampaignSpec {
     /// Builds a spec from an [`Experiments`] context: `jobs` from
     /// `ctx.jobs`, campaign seed from the configured core RNG seed,
-    /// warm-reuse from `ctx.reuse_warmup`.
+    /// warm-reuse from the plan's `warm_reuse` flag.
     #[must_use]
     pub fn for_ctx(ctx: &Experiments, cells: Vec<CellSpec>) -> CampaignSpec {
         CampaignSpec {
             cells,
             jobs: ctx.jobs,
             seed: ctx.core.rng_seed,
-            reuse_warmup: ctx.reuse_warmup,
+            reuse_warmup: ctx.core.plan.warm_reuse,
         }
     }
 }
@@ -580,7 +580,7 @@ pub fn cell_key(ctx: &Experiments, spec: &CampaignSpec, id: usize, cell: &CellSp
 
 /// Loads a cell's programs and priorities onto a core — the setup every
 /// attempt (warm-in-place, checkpoint donor, restored) runs identically.
-fn setup_cell(core: &mut p5_core::SmtCore, cell: &CellSpec) {
+fn setup_cell(core: &mut SmtCore, cell: &CellSpec) {
     core.load_program(ThreadId::T0, cell.primary.clone());
     if let Some(secondary) = &cell.secondary {
         core.load_program(ThreadId::T1, secondary.clone());
@@ -857,7 +857,7 @@ fn execute_cell(
 
 /// Simulates one cell: fresh context with the derived per-cell seed,
 /// programs loaded, priorities applied (pairs only), faults injected,
-/// then the shared resilient measure/retry path. When `warm` carries a
+/// then the resilient measure/retry ladder. When `warm` carries a
 /// shared checkpoint the first attempt restores it instead of warming
 /// in place; the result is bit-identical either way.
 fn run_cell(
@@ -879,8 +879,9 @@ fn run_cell(
     let plan = cell
         .faults
         .map(|f| FaultPlan::generate(f.seed, f.horizon, f.count));
-    cell_ctx.measure_resilient_warm_cancel(
-        move |core| {
+    measure_with_retry(
+        &cell_ctx,
+        |core| {
             setup_cell(core, cell);
             if let Some(plan) = &plan {
                 for fault in plan.faults() {
@@ -893,6 +894,101 @@ fn run_cell(
     )
 }
 
+/// The retry/escalation ladder, the one measurement path every cell
+/// takes.
+///
+/// Attempt 1 runs on a fresh core with the configured budget, restoring
+/// `warm` (a checkpoint taken at [`FameRunner::warm_only`]'s boundary
+/// for an identically-prepared core) instead of warming in place when
+/// one is given. If it errors retryably (watchdog stall, exhausted
+/// budget) or returns an unconverged report, attempt 2 warms another
+/// fresh core in place with the budgets multiplied by
+/// [`Experiments::RETRY_ESCALATION`]. A cell that still has no
+/// converged report after that is `Degraded`; it keeps the best report
+/// observed plus the error that limited it. A non-retryable error
+/// (invalid configuration, an expired `cancel` token) degrades the cell
+/// at once. Every attempt's FAME runner checks `cancel` between
+/// simulation chunks; without one the run is bit-reproducible.
+fn measure_with_retry(
+    ctx: &Experiments,
+    setup: impl Fn(&mut SmtCore),
+    warm: Option<(&WarmState, u64)>,
+    cancel: Option<&CancelToken>,
+) -> Measured {
+    let fresh_core = || -> Result<SmtCore, SimError> {
+        let mut core = ctx.try_new_core()?;
+        setup(&mut core);
+        Ok(core)
+    };
+    let attempt = |fame: FameConfig,
+                   warm: Option<(&WarmState, u64)>|
+     -> Result<FameReport, SimError> {
+        let runner = match cancel {
+            Some(token) => FameRunner::new(fame).with_cancel(token.clone()),
+            None => FameRunner::new(fame),
+        };
+        let mut core = fresh_core()?;
+        if let Some((state, warmup_cycles)) = warm {
+            if core.restore_warm_state(state).is_ok() {
+                return runner.try_measure_restored(&mut core, warmup_cycles);
+            }
+            // Mismatched checkpoint: warm a fresh core in place instead.
+            // The measurement is bit-identical either way; only the
+            // wall-clock differs.
+            core = fresh_core()?;
+        }
+        runner.try_measure(&mut core)
+    };
+
+    let first = match attempt(ctx.fame, warm) {
+        Ok(report) if report.converged() => {
+            return Measured {
+                report: Some(report),
+                status: CellStatus::Ok,
+                error: None,
+            }
+        }
+        Err(e) if !e.is_retryable() => {
+            return Measured {
+                report: None,
+                status: CellStatus::Degraded,
+                error: Some(e),
+            }
+        }
+        first => first,
+    };
+
+    let escalated = ctx.fame.escalated(Experiments::RETRY_ESCALATION);
+    match attempt(escalated, None) {
+        Ok(report) if report.converged() => Measured {
+            report: Some(report),
+            status: CellStatus::Recovered,
+            error: None,
+        },
+        Ok(report) => {
+            let error = SimError::BudgetExhausted {
+                cycle_budget: escalated.max_cycles,
+                repetitions: report.threads.map(|m| m.map_or(0, |m| m.repetitions)),
+                target: report
+                    .threads
+                    .map(|m| m.map_or(0, |_| escalated.min_repetitions)),
+            };
+            Measured {
+                report: Some(report),
+                status: CellStatus::Degraded,
+                error: Some(error),
+            }
+        }
+        Err(e) => Measured {
+            // Keep the first attempt's (unconverged) data if it had
+            // any: a degraded value beats no value in a partial report.
+            report: first.ok(),
+            status: CellStatus::Degraded,
+            error: Some(e),
+        },
+    }
+}
+
 /// Maps a [`FaultKind`] onto the core's injection hooks at cell setup
 /// (before warmup), so every attempt of the cell sees the identical
 /// perturbation.
@@ -901,7 +997,7 @@ fn run_cell(
 /// priorities *are* the measured variable, and corrupting them would
 /// change which paper cell the measurement belongs to rather than
 /// stress-testing its convergence.
-fn apply_fault(core: &mut p5_core::SmtCore, kind: &FaultKind) {
+fn apply_fault(core: &mut SmtCore, kind: &FaultKind) {
     match *kind {
         FaultKind::DecodeStall { thread, cycles } => core.inject_decode_stall(thread, cycles),
         FaultKind::CachePortBlock { cycles } => core.inject_cache_port_block(cycles),
@@ -937,6 +1033,86 @@ mod tests {
         }
         b.iterations(iters);
         b.build().unwrap()
+    }
+
+    fn chase_program(footprint: u64) -> Program {
+        let mut b = Program::builder("chase");
+        let s = b.stream(p5_isa::StreamSpec::pointer_chase(footprint));
+        let ptr = Reg::new(1);
+        b.push(
+            StaticInst::new(Op::Load {
+                stream: s,
+                kind: p5_isa::DataKind::Int,
+            })
+            .dst(ptr)
+            .src1(ptr),
+        );
+        b.iterations(100);
+        b.build().unwrap()
+    }
+
+    /// One single-thread cell through the full per-cell flow.
+    fn measure_cell(ctx: &Experiments, program: Program) -> Measured {
+        let spec = CampaignSpec::for_ctx(ctx, vec![CellSpec::single("cell", program)]);
+        run_isolated_cell(ctx, &spec, 0, &spec.cells[0]).0
+    }
+
+    #[test]
+    fn resilient_measurement_of_healthy_cell_is_ok() {
+        let m = measure_cell(&tiny_ctx(), cpu_program(50));
+        assert_eq!(m.status, CellStatus::Ok);
+        assert!(m.error.is_none());
+        assert!(m.ipc(ThreadId::T0).unwrap() > 0.5);
+        assert!(m.degradation("cell").is_none());
+    }
+
+    #[test]
+    fn resilient_measurement_recovers_via_escalated_budget() {
+        // The first budget cannot fit min_repetitions; the 4x escalation
+        // can.
+        let mut ctx = tiny_ctx();
+        ctx.fame.min_repetitions = 40;
+        ctx.fame.max_cycles = 8_000;
+        ctx.fame.warmup = p5_fame::WarmupBudget::fixed(500);
+        let m = measure_cell(&ctx, cpu_program(80));
+        assert_eq!(m.status, CellStatus::Recovered);
+        assert!(m.report.expect("recovered report").converged());
+    }
+
+    #[test]
+    fn resilient_measurement_marks_wedged_cell_degraded() {
+        let mut ctx = tiny_ctx();
+        ctx.core.lmq_entries = 0; // beyond-L1 misses never issue
+        ctx.core.watchdog_stall_cycles = 10_000;
+        let m = measure_cell(&ctx, chase_program(256 * 1024));
+        assert!(m.is_degraded());
+        let note = m.degradation("chase").expect("degradation note");
+        assert_eq!(note.label, "chase");
+        assert!(note.cause.contains("lmq"), "culprit named: {note}");
+    }
+
+    /// An invalid core, memory or FAME configuration degrades the cell
+    /// with a typed error; it never panics into a `Crashed` cell.
+    #[test]
+    fn resilient_measurement_surfaces_invalid_config() {
+        type Breakage = fn(&mut Experiments);
+        let cases: [(&str, Breakage); 3] = [
+            ("gct_entries", |ctx| ctx.core.gct_entries = 0),
+            ("mem", |ctx| ctx.core.mem.l1d.line_bytes = 100),
+            ("maiv", |ctx| ctx.fame.maiv = 0.0),
+        ];
+        for (field, break_it) in cases {
+            let mut ctx = tiny_ctx();
+            break_it(&mut ctx);
+            let m = measure_cell(&ctx, cpu_program(50));
+            assert_eq!(m.status, CellStatus::Degraded, "{field}: {:?}", m.error);
+            assert!(m.report.is_none(), "{field}");
+            assert!(
+                matches!(m.error, Some(SimError::InvalidConfig { field: f, .. }) if f == field),
+                "{field}: {:?}",
+                m.error
+            );
+        }
     }
 
     #[test]

@@ -60,8 +60,11 @@ use std::sync::Mutex;
 /// (its `Debug` rendering feeds the key hash) and relaxed-quantum chip
 /// plans hash their quantum into the key; 4 = `ExecutionPlan` grew the
 /// `idle_skip` flag (same `Debug`-rendering reason — the flag itself is
-/// normalized out of the key, because skip on/off is bit-identical).
-pub const JOURNAL_SCHEMA_VERSION: u32 = 4;
+/// normalized out of the key, because skip on/off is bit-identical);
+/// 5 = FAME's detailed chunks run under the engine watchdog, so a
+/// stalled cell's stored error names the exact watchdog cycle instead
+/// of the chunk end.
+pub const JOURNAL_SCHEMA_VERSION: u32 = 5;
 
 /// 64-bit FNV-1a as a [`std::hash::Hasher`], for fingerprints that must
 /// be stable across *runs* (unlike `DefaultHasher`, which is only

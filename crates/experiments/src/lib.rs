@@ -65,8 +65,8 @@ pub mod table3;
 pub mod table4;
 
 use p5_core::{CoreConfig, SimError, SmtCore};
-use p5_fame::{FameConfig, FameReport, FameRunner};
-use p5_isa::{Priority, Program, ThreadId};
+use p5_fame::{FameConfig, FameReport};
+use p5_isa::{Priority, ThreadId};
 use std::fmt;
 
 /// Error from an experiment artifact whose measurements failed so
@@ -227,9 +227,9 @@ pub enum CellStatus {
     Skipped,
 }
 
-/// Result of one resilient measurement (see
-/// [`Experiments::measure_pair_resilient`]): the report, how it was
-/// obtained, and — for degraded cells — the error that limited it.
+/// Result of one resilient campaign-cell measurement (see
+/// [`campaign::run_isolated_cell`]): the report, how it was obtained,
+/// and — for degraded cells — the error that limited it.
 #[derive(Debug, Clone)]
 pub struct Measured {
     /// The FAME report, if any attempt produced one. Degraded cells keep
@@ -321,11 +321,6 @@ pub struct Experiments {
     /// Worker threads used by the campaign engine (`1` = serial; the
     /// artifacts are byte-identical either way, see [`campaign`]).
     pub jobs: usize,
-    /// Whether the campaign engine may share warm-state checkpoints
-    /// between cells with provably identical warm-ups (see
-    /// [`campaign`]'s warm-reuse notes). Off by default; results are
-    /// byte-identical either way, so this is purely a wall-clock knob.
-    pub reuse_warmup: bool,
     /// Write-ahead result journal: finished cells are recorded here and
     /// journaled cells are replayed instead of re-simulated (the
     /// `--journal`/`--resume` flags). `None` (the default) journals
@@ -355,9 +350,7 @@ impl Experiments {
     #[must_use]
     pub fn paper() -> Experiments {
         Experiments::with_configs(
-            CoreConfig::builder()
-                .build()
-                .expect("power5_like defaults are valid"),
+            CoreConfig::power5_like(),
             FameConfig::paper(),
         )
     }
@@ -371,7 +364,6 @@ impl Experiments {
             core,
             fame,
             jobs: 1,
-            reuse_warmup: false,
             journal: None,
             cell_deadline: None,
             cancel: None,
@@ -384,9 +376,7 @@ impl Experiments {
     #[must_use]
     pub fn quick() -> Experiments {
         Experiments::with_configs(
-            CoreConfig::builder()
-                .build()
-                .expect("power5_like defaults are valid"),
+            CoreConfig::power5_like(),
             FameConfig {
                 maiv: 0.05,
                 stable_window: 2,
@@ -411,12 +401,11 @@ impl Experiments {
     /// Returns this context running under the given
     /// [`ExecutionPlan`](p5_core::ExecutionPlan) (the `--plan` flag of
     /// the binaries): the plan lands on the core configuration, and its
-    /// `warm_reuse` flag doubles as the campaign-level checkpoint-sharing
-    /// default.
+    /// `warm_reuse` flag is the campaign-level checkpoint-sharing default
+    /// (see [`campaign::CampaignSpec::for_ctx`]).
     #[must_use]
     pub fn with_plan(mut self, plan: p5_core::ExecutionPlan) -> Experiments {
         self.core.plan = plan;
-        self.reuse_warmup = plan.warm_reuse;
         self
     }
 
@@ -456,12 +445,6 @@ impl Experiments {
     /// (see [`FameConfig::escalated`]).
     pub const RETRY_ESCALATION: u64 = 4;
 
-    /// Builds an idle core with this context's configuration.
-    #[must_use]
-    pub fn new_core(&self) -> SmtCore {
-        SmtCore::new(self.core.clone())
-    }
-
     /// Builds an idle core, returning a typed error on invalid
     /// configuration instead of panicking.
     ///
@@ -471,187 +454,6 @@ impl Experiments {
     /// [`CoreConfig::try_validate`].
     pub fn try_new_core(&self) -> Result<SmtCore, SimError> {
         SmtCore::try_new(self.core.clone())
-    }
-
-    /// FAME-measures a single program in single-thread mode.
-    #[must_use]
-    pub fn measure_single(&self, program: Program) -> FameReport {
-        let mut core = self.new_core();
-        core.load_program(ThreadId::T0, program);
-        FameRunner::new(self.fame).measure(&mut core)
-    }
-
-    /// FAME-measures a pair of programs under the given priorities.
-    #[must_use]
-    pub fn measure_pair(
-        &self,
-        primary: Program,
-        secondary: Program,
-        priorities: (Priority, Priority),
-    ) -> FameReport {
-        let mut core = self.new_core();
-        core.load_program(ThreadId::T0, primary);
-        core.load_program(ThreadId::T1, secondary);
-        core.set_priority(ThreadId::T0, priorities.0);
-        core.set_priority(ThreadId::T1, priorities.1);
-        FameRunner::new(self.fame).measure(&mut core)
-    }
-
-    /// Resilient single-thread measurement: never panics, retries a
-    /// failed or unconverged run once with an escalated cycle budget
-    /// before marking the cell degraded.
-    #[must_use]
-    pub fn measure_single_resilient(&self, program: Program) -> Measured {
-        self.measure_resilient(move |core| {
-            core.load_program(ThreadId::T0, program.clone());
-        })
-    }
-
-    /// Resilient pair measurement: never panics, retries a failed or
-    /// unconverged run once with an escalated cycle budget before marking
-    /// the cell degraded.
-    #[must_use]
-    pub fn measure_pair_resilient(
-        &self,
-        primary: Program,
-        secondary: Program,
-        priorities: (Priority, Priority),
-    ) -> Measured {
-        self.measure_resilient(move |core| {
-            core.load_program(ThreadId::T0, primary.clone());
-            core.load_program(ThreadId::T1, secondary.clone());
-            core.set_priority(ThreadId::T0, priorities.0);
-            core.set_priority(ThreadId::T1, priorities.1);
-        })
-    }
-
-    /// The retry/escalation wrapper all resilient measurements share.
-    ///
-    /// Attempt 1 runs on a fresh core with the configured budget. If it
-    /// errors retryably (watchdog stall, exhausted budget) or returns an
-    /// unconverged report, attempt 2 runs on another fresh core with the
-    /// budgets multiplied by [`Experiments::RETRY_ESCALATION`]. A cell
-    /// that still has no converged report after that is `Degraded`; it
-    /// keeps the best report observed plus the error that limited it.
-    fn measure_resilient(&self, setup: impl Fn(&mut SmtCore)) -> Measured {
-        self.measure_resilient_warm(setup, None)
-    }
-
-    /// The resilient measure/retry path with an optional
-    /// warm-state checkpoint: when `warm` is `Some((state, cycles))`, the
-    /// first attempt restores `state` (a checkpoint taken at
-    /// [`FameRunner::warm_only`]'s boundary for an identically-prepared
-    /// core) instead of re-running the warm-up, which is bit-identical
-    /// and much cheaper. A checkpoint that does not fit the cell — or a
-    /// first attempt that needs the escalated-budget retry — falls back
-    /// to the full warm-in-place path, so results never depend on
-    /// whether a checkpoint was supplied.
-    pub fn measure_resilient_warm(
-        &self,
-        setup: impl Fn(&mut SmtCore),
-        warm: Option<(&p5_core::WarmState, u64)>,
-    ) -> Measured {
-        self.measure_resilient_warm_cancel(setup, warm, None)
-    }
-
-    /// [`Experiments::measure_resilient_warm`] under an optional
-    /// [`CancelToken`](p5_core::CancelToken): every attempt's FAME
-    /// runner checks the token between simulation chunks, so an expired
-    /// token stops the measurement at a clean boundary with a
-    /// (non-retryable) [`SimError::Deadline`] and the cell degrades
-    /// instead of running forever. `None` is exactly the tokenless
-    /// path — bit-reproducible, never wall-clock-dependent.
-    pub fn measure_resilient_warm_cancel(
-        &self,
-        setup: impl Fn(&mut SmtCore),
-        warm: Option<(&p5_core::WarmState, u64)>,
-        cancel: Option<&p5_core::CancelToken>,
-    ) -> Measured {
-        let runner = |fame: FameConfig| -> FameRunner {
-            match cancel {
-                Some(token) => FameRunner::new(fame).with_cancel(token.clone()),
-                None => FameRunner::new(fame),
-            }
-        };
-        let attempt = |fame: FameConfig| -> Result<FameReport, SimError> {
-            let mut core = self.try_new_core()?;
-            setup(&mut core);
-            runner(fame).try_measure(&mut core)
-        };
-        let attempt_restored = |state: &p5_core::WarmState,
-                                warmup_cycles: u64|
-         -> Result<FameReport, SimError> {
-            let mut core = self.try_new_core()?;
-            setup(&mut core);
-            if core.restore_warm_state(state).is_err() {
-                // Mismatched checkpoint: warm in place instead. The
-                // measurement is bit-identical either way; only the
-                // wall-clock differs.
-                return attempt(self.fame);
-            }
-            runner(self.fame).try_measure_restored(&mut core, warmup_cycles)
-        };
-        let budget_error = |fame: &FameConfig, report: &FameReport| SimError::BudgetExhausted {
-            cycle_budget: fame.max_cycles,
-            repetitions: [0, 1].map(|i| {
-                report.threads[i].map_or(0, |m| m.repetitions)
-            }),
-            target: [0, 1].map(|i| {
-                if report.threads[i].is_some() {
-                    fame.min_repetitions
-                } else {
-                    0
-                }
-            }),
-        };
-
-        let first = match warm {
-            Some((state, warmup_cycles)) => attempt_restored(state, warmup_cycles),
-            None => attempt(self.fame),
-        };
-        if let Ok(report) = &first {
-            if report.converged() {
-                return Measured {
-                    report: first.ok(),
-                    status: CellStatus::Ok,
-                    error: None,
-                };
-            }
-        }
-        if let Err(e) = &first {
-            if !e.is_retryable() {
-                return Measured {
-                    report: None,
-                    status: CellStatus::Degraded,
-                    error: first.err(),
-                };
-            }
-        }
-
-        let escalated = self.fame.escalated(Self::RETRY_ESCALATION);
-        match attempt(escalated) {
-            Ok(report) if report.converged() => Measured {
-                report: Some(report),
-                status: CellStatus::Recovered,
-                error: None,
-            },
-            Ok(report) => {
-                let error = budget_error(&escalated, &report);
-                Measured {
-                    report: Some(report),
-                    status: CellStatus::Degraded,
-                    error: Some(error),
-                }
-            }
-            Err(e) => Measured {
-                // Keep the first attempt's (unconverged) data if it had
-                // any: a degraded value beats no value in a partial
-                // report.
-                report: first.ok(),
-                status: CellStatus::Degraded,
-                error: Some(e),
-            },
-        }
     }
 }
 
@@ -724,41 +526,8 @@ mod tests {
 
     #[test]
     fn quick_context_builds_core() {
-        let ctx = Experiments::quick();
-        let core = ctx.new_core();
+        let core = Experiments::quick().try_new_core().expect("valid defaults");
         assert_eq!(core.cycle(), 0);
-    }
-
-    fn tiny_ctx() -> Experiments {
-        Experiments::with_configs(
-            p5_core::CoreConfig::tiny_for_tests(),
-            p5_fame::FameConfig::quick(),
-        )
-    }
-
-    fn cpu_program(iters: u64) -> Program {
-        let mut b = Program::builder("cpu");
-        for i in 0..10 {
-            b.push(p5_isa::StaticInst::new(p5_isa::Op::IntAlu).dst(p5_isa::Reg::new(32 + i)));
-        }
-        b.iterations(iters);
-        b.build().unwrap()
-    }
-
-    fn chase_program(footprint: u64) -> Program {
-        let mut b = Program::builder("chase");
-        let s = b.stream(p5_isa::StreamSpec::pointer_chase(footprint));
-        let ptr = p5_isa::Reg::new(1);
-        b.push(
-            p5_isa::StaticInst::new(p5_isa::Op::Load {
-                stream: s,
-                kind: p5_isa::DataKind::Int,
-            })
-            .dst(ptr)
-            .src1(ptr),
-        );
-        b.iterations(100);
-        b.build().unwrap()
     }
 
     #[test]
@@ -787,52 +556,5 @@ mod tests {
         assert_eq!(sum.total, 7);
         assert_eq!(sum.ok, 5);
         assert_eq!(sum.replayed, 1);
-    }
-
-    #[test]
-    fn resilient_measurement_of_healthy_cell_is_ok() {
-        let m = tiny_ctx().measure_single_resilient(cpu_program(50));
-        assert_eq!(m.status, CellStatus::Ok);
-        assert!(m.error.is_none());
-        assert!(m.ipc(ThreadId::T0).unwrap() > 0.5);
-        assert!(m.degradation("cell").is_none());
-    }
-
-    #[test]
-    fn resilient_measurement_recovers_via_escalated_budget() {
-        // The first budget cannot fit min_repetitions; the 4x escalation
-        // can.
-        let mut ctx = tiny_ctx();
-        ctx.fame.min_repetitions = 40;
-        ctx.fame.max_cycles = 8_000;
-        ctx.fame.warmup = p5_fame::WarmupBudget::fixed(500);
-        let m = ctx.measure_single_resilient(cpu_program(50));
-        assert_eq!(m.status, CellStatus::Recovered);
-        assert!(m.report.expect("recovered report").converged());
-    }
-
-    #[test]
-    fn resilient_measurement_marks_wedged_cell_degraded() {
-        let mut ctx = tiny_ctx();
-        ctx.core.lmq_entries = 0; // beyond-L1 misses never issue
-        ctx.core.watchdog_stall_cycles = 10_000;
-        let m = ctx.measure_single_resilient(chase_program(256 * 1024));
-        assert!(m.is_degraded());
-        let note = m.degradation("chase").expect("degradation note");
-        assert_eq!(note.label, "chase");
-        assert!(note.cause.contains("lmq"), "culprit named: {note}");
-    }
-
-    #[test]
-    fn resilient_measurement_surfaces_invalid_config() {
-        let mut ctx = tiny_ctx();
-        ctx.core.gct_entries = 0;
-        let m = ctx.measure_single_resilient(cpu_program(50));
-        assert!(m.is_degraded());
-        assert!(m.report.is_none());
-        assert!(matches!(
-            m.error,
-            Some(p5_core::SimError::InvalidConfig { field: "gct_entries", .. })
-        ));
     }
 }

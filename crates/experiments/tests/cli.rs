@@ -93,6 +93,20 @@ fn clean_section_exits_zero() {
 }
 
 #[test]
+fn unknown_only_section_is_a_usage_error() {
+    let out = repro()
+        .args(["--quick", "--only", "table1,tabel3"])
+        .output()
+        .expect("repro runs");
+    assert_eq!(out.status.code(), Some(1), "a misspelled section exits 1");
+    let err = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+    assert!(err.contains("\"tabel3\""), "error names the section: {err}");
+    assert!(err.contains("table3"), "error lists the valid sections: {err}");
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    assert!(stdout.is_empty(), "nothing runs: {stdout}");
+}
+
+#[test]
 fn degraded_run_exits_two() {
     // A zero cell deadline degrades every campaign cell without
     // simulating anything, so the run completes — partially — fast.

@@ -30,7 +30,7 @@
 //!
 //! let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
 //! core.load_program(ThreadId::T0, prog);
-//! let report = FameRunner::new(FameConfig::quick()).measure(&mut core);
+//! let report = FameRunner::new(FameConfig::quick()).try_measure(&mut core)?;
 //! let m = report.thread(ThreadId::T0).unwrap();
 //! assert!(m.converged);
 //! assert!(m.ipc > 0.0);
@@ -197,17 +197,6 @@ impl FameConfig {
         let w = self.warmup;
         WarmupBudget::new(w.min_cycles, w.max_cycles, w.ring_passes)?;
         Ok(())
-    }
-
-    /// Validates the parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`FameConfig::try_validate`] rejects them.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
     }
 
     /// A copy of this configuration with the measurement and warm-up
@@ -406,14 +395,14 @@ pub struct FameRunner {
 }
 
 impl FameRunner {
-    /// Creates a runner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is invalid (see [`FameConfig::validate`]).
+    /// Creates a runner. The configuration is checked when a run starts
+    /// ([`warm_only`](FameRunner::warm_only),
+    /// [`try_measure`](FameRunner::try_measure) and
+    /// [`try_measure_restored`](FameRunner::try_measure_restored) return
+    /// [`SimError::InvalidConfig`] for one that fails
+    /// [`FameConfig::try_validate`]).
     #[must_use]
     pub fn new(config: FameConfig) -> FameRunner {
-        config.validate();
         FameRunner {
             config,
             cancel: None,
@@ -421,11 +410,10 @@ impl FameRunner {
     }
 
     /// Returns this runner with a cooperative wall-clock deadline token:
-    /// both phases check it between simulation chunks (alongside the
-    /// cycle-budget watchdog) and abort with [`SimError::Deadline`] once
-    /// it expires, leaving the core at a clean chunk boundary. Without a
-    /// token nothing wall-clock-dependent is ever consulted, so runs
-    /// stay bit-reproducible.
+    /// both phases check it between simulation chunks and abort with
+    /// [`SimError::Deadline`] once it expires, leaving the core at a
+    /// clean chunk boundary. Without a token nothing wall-clock-dependent
+    /// is ever consulted, so runs stay bit-reproducible.
     #[must_use]
     pub fn with_cancel(mut self, token: CancelToken) -> FameRunner {
         self.cancel = Some(token);
@@ -476,39 +464,22 @@ impl FameRunner {
     }
 
     /// Runs the warm-up and measurement phases and reports per-thread
-    /// averages. The core is left in its post-measurement state (warm),
-    /// with statistics covering the measurement phase only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no context has a program loaded, or if the core's
-    /// forward-progress watchdog trips mid-measurement. Callers that
-    /// need to survive either should use
-    /// [`try_measure`](FameRunner::try_measure).
-    pub fn measure(&self, core: &mut SmtCore) -> FameReport {
-        match self.try_measure(core) {
-            Ok(report) => report,
-            Err(SimError::NoActiveThread) => {
-                panic!("FAME needs at least one active thread")
-            }
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Runs the warm-up and measurement phases and reports per-thread
     /// averages, surfacing livelocks as typed errors instead of burning
-    /// the whole cycle budget.
+    /// the whole cycle budget. The core is left in its post-measurement
+    /// state (warm), with statistics covering the measurement phase only.
     ///
-    /// Both phases honour the core's forward-progress watchdog
-    /// ([`watchdog_stall_cycles`](p5_core::CoreConfig::watchdog_stall_cycles)):
-    /// if no dispatch group commits for that many cycles, the
-    /// measurement aborts with a diagnostic snapshot. A run that merely
-    /// exhausts `max_cycles` while still progressing returns `Ok` with
-    /// `converged == false` — the caller decides whether to escalate
-    /// the budget (see [`FameConfig::escalated`]).
+    /// Every detailed chunk runs under the core's forward-progress
+    /// watchdog ([`SmtCore::try_run_cycles`]): if no dispatch group
+    /// commits for
+    /// [`watchdog_stall_cycles`](p5_core::CoreConfig::watchdog_stall_cycles),
+    /// the measurement aborts at that cycle with a diagnostic snapshot.
+    /// A run that merely exhausts `max_cycles` while still progressing
+    /// returns `Ok` with `converged == false` — the caller decides
+    /// whether to escalate the budget (see [`FameConfig::escalated`]).
     ///
     /// # Errors
     ///
+    /// [`SimError::InvalidConfig`] if the FAME configuration is invalid;
     /// [`SimError::NoActiveThread`] if no context has a program loaded;
     /// [`SimError::ForwardProgressStall`] if the watchdog trips.
     pub fn try_measure(&self, core: &mut SmtCore) -> Result<FameReport, SimError> {
@@ -527,10 +498,12 @@ impl FameRunner {
     ///
     /// # Errors
     ///
+    /// [`SimError::InvalidConfig`] if the FAME configuration is invalid;
     /// [`SimError::NoActiveThread`] if no context has a program loaded;
     /// [`SimError::ForwardProgressStall`] if the watchdog trips during a
     /// detailed warm-up.
     pub fn warm_only(&self, core: &mut SmtCore) -> Result<u64, SimError> {
+        self.config.try_validate()?;
         if !ThreadId::ALL.iter().any(|&t| core.is_active(t)) {
             return Err(SimError::NoActiveThread);
         }
@@ -546,14 +519,12 @@ impl FameRunner {
         match core.config().plan.warmup {
             WarmupMode::Functional => core.functional_warmup(warmup),
             WarmupMode::Detailed => {
-                let stall_check = Self::stall_check(core);
                 let warmup_chunk: u64 = 4096;
                 let mut warmed: u64 = 0;
                 while warmed < warmup {
                     let n = warmup_chunk.min(warmup - warmed);
-                    core.run_cycles(n);
+                    core.try_run_cycles(n)?;
                     warmed += n;
-                    stall_check(core)?;
                     self.deadline_check("warmup")?;
                 }
             }
@@ -573,6 +544,7 @@ impl FameRunner {
     ///
     /// # Errors
     ///
+    /// [`SimError::InvalidConfig`] if the FAME configuration is invalid;
     /// [`SimError::NoActiveThread`] if no context has a program loaded;
     /// [`SimError::ForwardProgressStall`] if the watchdog trips.
     pub fn try_measure_restored(
@@ -580,23 +552,11 @@ impl FameRunner {
         core: &mut SmtCore,
         warmup_cycles: u64,
     ) -> Result<FameReport, SimError> {
+        self.config.try_validate()?;
         if !ThreadId::ALL.iter().any(|&t| core.is_active(t)) {
             return Err(SimError::NoActiveThread);
         }
         self.measure_phase(core, warmup_cycles)
-    }
-
-    /// The per-chunk forward-progress check both phases run under.
-    fn stall_check(core: &SmtCore) -> impl Fn(&SmtCore) -> Result<(), SimError> {
-        let watchdog = core.config().watchdog_stall_cycles;
-        move |core: &SmtCore| -> Result<(), SimError> {
-            if watchdog != 0 && core.stalled_cycles() >= watchdog {
-                return Err(SimError::ForwardProgressStall {
-                    snapshot: Box::new(core.diagnostic_snapshot()),
-                });
-            }
-            Ok(())
-        }
     }
 
     /// The measurement phase: assumes the core sits at the
@@ -628,7 +588,6 @@ impl FameRunner {
         warmup: u64,
         sampling: SamplingConfig,
     ) -> Result<FameReport, SimError> {
-        let stall_check = Self::stall_check(core);
         let active = [core.is_active(ThreadId::T0), core.is_active(ThreadId::T1)];
         let mut samples: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
         let mut done = [!active[0], !active[1]];
@@ -638,8 +597,7 @@ impl FameRunner {
                 core.stats().thread(ThreadId::T0).committed,
                 core.stats().thread(ThreadId::T1).committed,
             ];
-            core.run_cycles(sampling.interval);
-            stall_check(core)?;
+            core.try_run_cycles(sampling.interval)?;
             self.deadline_check("measure")?;
             for t in ThreadId::ALL {
                 let i = t.index();
@@ -686,15 +644,13 @@ impl FameRunner {
 
     /// The classic exhaustive FAME repetition loop.
     fn measure_phase_detailed(&self, core: &mut SmtCore, warmup: u64) -> Result<FameReport, SimError> {
-        let stall_check = Self::stall_check(core);
         // Measurement: run until every active thread satisfies MAIV and
         // the minimum repetition count.
         let mut tracker = ConvergenceTracker::new(core);
         let check_period: u64 = 256;
         let deadline = self.config.max_cycles;
         while !tracker.all_done() && core.stats().cycles < deadline {
-            core.run_cycles(check_period);
-            stall_check(core)?;
+            core.try_run_cycles(check_period)?;
             self.deadline_check("measure")?;
             tracker.observe(core, &self.config);
         }
@@ -856,7 +812,7 @@ mod tests {
     fn single_thread_measurement_converges() {
         let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
         core.load_program(ThreadId::T0, cpu_program(50));
-        let report = FameRunner::new(FameConfig::quick()).measure(&mut core);
+        let report = FameRunner::new(FameConfig::quick()).try_measure(&mut core).unwrap();
         let m = report.thread(ThreadId::T0).unwrap();
         assert!(m.converged, "steady program must converge: {m:?}");
         assert!(m.repetitions >= 3);
@@ -871,7 +827,7 @@ mod tests {
         let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
         core.load_program(ThreadId::T0, cpu_program(50));
         core.load_program(ThreadId::T1, cpu_program(500)); // 10x longer reps
-        let report = FameRunner::new(FameConfig::quick()).measure(&mut core);
+        let report = FameRunner::new(FameConfig::quick()).try_measure(&mut core).unwrap();
         let fast = report.thread(ThreadId::T0).unwrap();
         let slow = report.thread(ThreadId::T1).unwrap();
         assert!(fast.repetitions >= 3);
@@ -885,7 +841,7 @@ mod tests {
         let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
         core.load_program(ThreadId::T0, cpu_program(50));
         core.load_program(ThreadId::T1, cpu_program(50));
-        let report = FameRunner::new(FameConfig::quick()).measure(&mut core);
+        let report = FameRunner::new(FameConfig::quick()).try_measure(&mut core).unwrap();
         let sum = report.thread(ThreadId::T0).unwrap().ipc
             + report.thread(ThreadId::T1).unwrap().ipc;
         assert!((report.total_ipc() - sum).abs() < 1e-12);
@@ -900,7 +856,7 @@ mod tests {
         };
         let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
         core.load_program(ThreadId::T0, cpu_program(50));
-        let report = FameRunner::new(cfg).measure(&mut core);
+        let report = FameRunner::new(cfg).try_measure(&mut core).unwrap();
         assert!(!report.thread(ThreadId::T0).unwrap().converged);
         assert!(!report.converged());
     }
@@ -925,19 +881,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one active thread")]
-    fn measuring_idle_core_panics() {
-        let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
-        let _ = FameRunner::new(FameConfig::quick()).measure(&mut core);
-    }
-
-    #[test]
-    #[should_panic(expected = "MAIV")]
-    fn invalid_maiv_panics() {
-        let _ = FameRunner::new(FameConfig {
+    fn invalid_config_is_a_typed_error_from_every_entry_point() {
+        let runner = FameRunner::new(FameConfig {
             maiv: 0.0,
             ..FameConfig::quick()
         });
+        let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
+        core.load_program(ThreadId::T0, cpu_program(50));
+        for err in [
+            runner.try_measure(&mut core).map(|_| ()),
+            runner.warm_only(&mut core).map(|_| ()),
+            runner.try_measure_restored(&mut core, 0).map(|_| ()),
+        ] {
+            assert!(
+                matches!(err, Err(SimError::InvalidConfig { field: "maiv", .. })),
+                "{err:?}"
+            );
+        }
+        assert_eq!(core.cycle(), 0, "nothing simulated");
     }
 
     #[test]
@@ -950,7 +911,7 @@ mod tests {
         };
         let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
         core.load_program(ThreadId::T0, cpu_program(1_000_000));
-        let report = FameRunner::new(cfg).measure(&mut core);
+        let report = FameRunner::new(cfg).try_measure(&mut core).unwrap();
         let m = report.thread(ThreadId::T0).unwrap();
         assert_eq!(m.repetitions, 0);
         assert!(!m.converged);
@@ -1108,7 +1069,7 @@ mod tests {
         cfg.plan = plan;
         let mut core = SmtCore::new(cfg);
         core.load_program(ThreadId::T0, cpu_program(50));
-        let report = FameRunner::new(FameConfig::quick()).measure(&mut core);
+        let report = FameRunner::new(FameConfig::quick()).try_measure(&mut core).unwrap();
         let m = report.thread(ThreadId::T0).unwrap();
         assert!(m.converged, "steady program must converge: {m:?}");
         assert!(m.repetitions >= 3, "at least min_repetitions samples");
@@ -1125,7 +1086,7 @@ mod tests {
             cfg.plan = plan;
             let mut core = SmtCore::new(cfg);
             core.load_program(ThreadId::T0, chase_program(8 * 1024, 500));
-            FameRunner::new(FameConfig::quick()).measure(&mut core)
+            FameRunner::new(FameConfig::quick()).try_measure(&mut core).unwrap()
         };
         let detailed = run(p5_core::ExecutionPlan::detailed());
         let sampled = run(p5_core::ExecutionPlan::sampled(SamplingConfig {
@@ -1152,7 +1113,7 @@ mod tests {
             let mut core = SmtCore::new(cfg);
             core.load_program(ThreadId::T0, chase_program(8 * 1024, 500));
             core.load_program(ThreadId::T1, cpu_program(200));
-            FameRunner::new(FameConfig::quick()).measure(&mut core)
+            FameRunner::new(FameConfig::quick()).try_measure(&mut core).unwrap()
         };
         assert_eq!(run(), run(), "same seed, same schedule, same bits");
     }

@@ -84,7 +84,9 @@ impl Cache {
     /// Panics if the geometry is invalid (see [`CacheConfig::validate`]).
     #[must_use]
     pub fn new(config: CacheConfig) -> Cache {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let sets = config.sets();
         Cache {
             config,

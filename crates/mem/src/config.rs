@@ -15,40 +15,41 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Number of sets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is inconsistent (see [`CacheConfig::validate`]).
+    /// Number of sets of a valid geometry (see [`CacheConfig::validate`]).
     #[must_use]
     pub fn sets(&self) -> usize {
-        self.validate();
         (self.size_bytes / (self.line_bytes * self.associativity as u64)) as usize
     }
 
-    /// Panics with a descriptive message if the geometry is invalid:
-    /// `line_bytes` must be a nonzero power of two, `associativity`
-    /// nonzero, and `size_bytes` an exact multiple of
+    /// Checks the geometry: `line_bytes` must be a nonzero power of two,
+    /// `associativity` nonzero, and `size_bytes` an exact multiple of
     /// `line_bytes * associativity` with a power-of-two set count.
-    pub fn validate(&self) {
-        assert!(
-            self.line_bytes.is_power_of_two(),
-            "line size must be a power of two, got {}",
-            self.line_bytes
-        );
-        assert!(self.associativity > 0, "associativity must be nonzero");
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first rule the geometry breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        if !self.line_bytes.is_power_of_two() {
+            return Err(format!(
+                "line size must be a power of two, got {}",
+                self.line_bytes
+            ));
+        }
+        if self.associativity == 0 {
+            return Err("associativity must be nonzero".into());
+        }
         let way_bytes = self.line_bytes * self.associativity as u64;
-        assert!(
-            self.size_bytes.is_multiple_of(way_bytes),
-            "cache size {} is not a multiple of line*assoc {}",
-            self.size_bytes,
-            way_bytes
-        );
+        if !self.size_bytes.is_multiple_of(way_bytes) {
+            return Err(format!(
+                "cache size {} is not a multiple of line*assoc {way_bytes}",
+                self.size_bytes
+            ));
+        }
         let sets = self.size_bytes / way_bytes;
-        assert!(
-            sets.is_power_of_two(),
-            "set count must be a power of two, got {sets}"
-        );
+        if !sets.is_power_of_two() {
+            return Err(format!("set count must be a power of two, got {sets}"));
+        }
+        Ok(())
     }
 }
 
@@ -156,29 +157,38 @@ impl MemConfig {
         }
     }
 
-    /// Validates every level's geometry.
+    /// Checks every level's geometry (see [`CacheConfig::validate`]),
+    /// that all levels share one line size (the model assumes it), that
+    /// the page size is a power of two and that memory is slower than
+    /// the L3.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any level is inconsistent or line sizes differ between
-    /// levels (the model assumes one line size).
-    pub fn validate(&self) {
-        self.l1d.validate();
-        self.l2.validate();
-        self.l3.validate();
-        assert_eq!(
-            self.l1d.line_bytes, self.l2.line_bytes,
-            "L1 and L2 line sizes must match"
-        );
-        assert_eq!(
-            self.l2.line_bytes, self.l3.line_bytes,
-            "L2 and L3 line sizes must match"
-        );
-        assert!(
-            self.dtlb.page_bytes.is_power_of_two(),
-            "page size must be a power of two"
-        );
-        assert!(self.memory_latency > self.l3.latency);
+    /// Returns a description of the first rule the configuration breaks,
+    /// prefixed with the offending level.
+    pub fn validate(&self) -> Result<(), String> {
+        for (level, cache) in [("l1d", self.l1d), ("l2", self.l2), ("l3", self.l3)] {
+            cache.validate().map_err(|e| format!("{level}: {e}"))?;
+        }
+        if self.l1d.line_bytes != self.l2.line_bytes || self.l2.line_bytes != self.l3.line_bytes {
+            return Err(format!(
+                "line sizes must match across levels, got {}/{}/{}",
+                self.l1d.line_bytes, self.l2.line_bytes, self.l3.line_bytes
+            ));
+        }
+        if !self.dtlb.page_bytes.is_power_of_two() {
+            return Err(format!(
+                "dtlb: page size must be a power of two, got {}",
+                self.dtlb.page_bytes
+            ));
+        }
+        if self.memory_latency <= self.l3.latency {
+            return Err(format!(
+                "memory latency {} must exceed the L3 latency {}",
+                self.memory_latency, self.l3.latency
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -194,8 +204,8 @@ mod tests {
 
     #[test]
     fn power5_like_validates() {
-        MemConfig::power5_like().validate();
-        MemConfig::tiny_for_tests().validate();
+        assert_eq!(MemConfig::power5_like().validate(), Ok(()));
+        assert_eq!(MemConfig::tiny_for_tests().validate(), Ok(()));
     }
 
     #[test]
@@ -210,27 +220,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_line_size_panics() {
-        CacheConfig {
+    fn bad_line_size_is_rejected() {
+        let err = CacheConfig {
             size_bytes: 1024,
             line_bytes: 100,
             associativity: 2,
             latency: 1,
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("power of two"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "not a multiple")]
-    fn bad_size_panics() {
-        CacheConfig {
+    fn bad_size_is_rejected() {
+        let err = CacheConfig {
             size_bytes: 1000,
             line_bytes: 64,
             associativity: 2,
             latency: 1,
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("not a multiple"), "{err}");
+    }
+
+    #[test]
+    fn mem_errors_name_the_level() {
+        let mut m = MemConfig::tiny_for_tests();
+        m.l2.associativity = 0;
+        assert_eq!(m.validate(), Err("l2: associativity must be nonzero".into()));
     }
 
     #[test]

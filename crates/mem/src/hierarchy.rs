@@ -96,7 +96,9 @@ impl SharedCaches {
     /// Panics if `config` is invalid.
     #[must_use]
     pub fn new(config: &MemConfig) -> SharedCaches {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         SharedCaches {
             l2: Arc::new(Mutex::new(Cache::new(config.l2))),
             l3: Arc::new(Mutex::new(Cache::new(config.l3))),
@@ -203,7 +205,9 @@ impl MemoryHierarchy {
     /// Panics if `config` is invalid (see [`MemConfig::validate`]).
     #[must_use]
     pub fn new(config: MemConfig) -> MemoryHierarchy {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         MemoryHierarchy {
             l1d: Cache::new(config.l1d),
             levels: Levels::Private(Box::new(PrivateLevels {
@@ -227,7 +231,9 @@ impl MemoryHierarchy {
     /// Panics if `config` is invalid.
     #[must_use]
     pub fn with_shared(config: MemConfig, shared: SharedCaches) -> MemoryHierarchy {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         MemoryHierarchy {
             l1d: Cache::new(config.l1d),
             levels: Levels::Shared(shared),

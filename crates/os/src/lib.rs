@@ -119,7 +119,7 @@ pub struct KernelStats {
 /// The simulated operating-system layer wrapping one [`SmtCore`].
 ///
 /// Owns the core; the experiment harness drives time through
-/// [`Kernel::run_cycles`] so kernel entries (timer interrupts) can take
+/// [`Kernel::try_run_cycles`] so kernel entries (timer interrupts) can take
 /// effect at the right moments.
 #[derive(Debug)]
 pub struct Kernel {
@@ -308,21 +308,8 @@ impl Kernel {
     }
 
     /// Advances the simulation by `n` cycles, delivering timer interrupts
-    /// (kernel entries on both contexts) at the configured interval.
-    pub fn run_cycles(&mut self, mut n: u64) {
-        while n > 0 {
-            let chunk = n.min(self.cycles_to_timer);
-            self.core.run_cycles(chunk);
-            n -= chunk;
-            self.cycles_to_timer -= chunk;
-            if self.cycles_to_timer == 0 {
-                self.deliver_timer_interrupt();
-            }
-        }
-    }
-
-    /// Advances the simulation by `n` cycles like [`Kernel::run_cycles`],
-    /// but under the core's forward-progress watchdog: a wedged core
+    /// (kernel entries on both contexts) at the configured interval,
+    /// under the core's forward-progress watchdog: a wedged core
     /// surfaces its diagnostic snapshot instead of burning the rest of
     /// the span. Stall time accumulates across timer chunks, so the
     /// watchdog window may be longer than the timer interval.
@@ -506,36 +493,6 @@ impl SysfsRequest {
     }
 }
 
-/// The `/sys` pseudo-file interface the paper's patch adds: writing a
-/// priority level to `thread<N>/priority` requests that priority for
-/// context N with user privileges.
-///
-/// This is the thin string-parsing shim over [`SysfsRequest`] kept for
-/// the repro binary and examples; programmatic callers should construct
-/// a [`SysfsRequest`] directly.
-///
-/// ```
-/// use p5_core::{CoreConfig, SmtCore};
-/// use p5_isa::{Priority, ThreadId};
-/// use p5_os::{Kernel, KernelMode, sysfs_write};
-///
-/// let mut kernel = Kernel::new(SmtCore::new(CoreConfig::tiny_for_tests()),
-///                              KernelMode::Patched);
-/// sysfs_write(&mut kernel, "thread0/priority", "6")?;
-/// assert_eq!(kernel.core().priority(ThreadId::T0), Priority::High);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-///
-/// # Errors
-///
-/// [`OsError::InvalidPath`] for unknown paths, [`OsError::InvalidValue`]
-/// for non-numeric or out-of-range values, and
-/// [`OsError::InsufficientPrivilege`] if the kernel mode forbids the
-/// level.
-pub fn sysfs_write(kernel: &mut Kernel, path: &str, value: &str) -> Result<(), OsError> {
-    SysfsRequest::parse(path, value)?.apply(kernel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,7 +557,7 @@ mod tests {
         k.set_timer_interval(10_000).unwrap();
         k.set_supervisor_priority(ThreadId::T0, Priority::High).unwrap();
         assert_eq!(k.core().priority(ThreadId::T0), Priority::High);
-        k.run_cycles(10_000);
+        k.try_run_cycles(10_000).unwrap();
         // "it also resets the thread priority to MEDIUM every time it
         //  enters a kernel service routine"
         assert_eq!(k.core().priority(ThreadId::T0), Priority::Medium);
@@ -613,7 +570,7 @@ mod tests {
         let mut k = kernel(KernelMode::Patched);
         k.set_timer_interval(10_000).unwrap();
         k.core_mut().enable_pmu(p5_pmu::PmuConfig::counters_only());
-        k.run_cycles(30_000);
+        k.try_run_cycles(30_000).unwrap();
         let pmu = k.core_mut().take_pmu().expect("pmu enabled");
         assert_eq!(pmu.counters().kernel_entries, 3);
         assert!(pmu
@@ -627,7 +584,7 @@ mod tests {
         let mut k = kernel(KernelMode::Patched);
         k.set_timer_interval(10_000).unwrap();
         k.set_user_priority(ThreadId::T0, Priority::High).unwrap();
-        k.run_cycles(50_000);
+        k.try_run_cycles(50_000).unwrap();
         assert_eq!(k.core().priority(ThreadId::T0), Priority::High);
         assert_eq!(k.stats().priority_resets, 0);
         assert_eq!(k.stats().timer_interrupts, 5);
@@ -658,28 +615,28 @@ mod tests {
     }
 
     #[test]
-    fn sysfs_interface_parses_and_enforces() {
+    fn sysfs_string_writes_parse_and_enforce() {
         let mut k = kernel(KernelMode::Patched);
-        assert_eq!(sysfs_write(&mut k, "thread1/priority", " 5 "), Ok(()));
+        for (path, value, expected) in [
+            ("thread1/priority", " 5 ", Ok(())),
+            ("thread2/priority", "4", Err(OsError::InvalidPath)),
+            ("thread0/priority", "nine", Err(OsError::InvalidValue)),
+            ("thread0/priority", "9", Err(OsError::InvalidValue)),
+            (
+                "thread0/priority",
+                "7",
+                Err(OsError::InsufficientPrivilege {
+                    requested: Priority::VeryHigh,
+                }),
+            ),
+            ("timer/interval_cycles", " 8000 ", Ok(())),
+            ("timer/interval_cycles", "soon", Err(OsError::InvalidValue)),
+            ("timer/interval_cycles", "0", Err(OsError::InvalidTimerInterval)),
+        ] {
+            let got = SysfsRequest::parse(path, value).and_then(|r| r.apply(&mut k));
+            assert_eq!(got, expected, "{path} <- {value:?}");
+        }
         assert_eq!(k.core().priority(ThreadId::T1), Priority::MediumHigh);
-        assert_eq!(
-            sysfs_write(&mut k, "thread2/priority", "4"),
-            Err(OsError::InvalidPath)
-        );
-        assert_eq!(
-            sysfs_write(&mut k, "thread0/priority", "nine"),
-            Err(OsError::InvalidValue)
-        );
-        assert_eq!(
-            sysfs_write(&mut k, "thread0/priority", "9"),
-            Err(OsError::InvalidValue)
-        );
-        assert_eq!(
-            sysfs_write(&mut k, "thread0/priority", "7"),
-            Err(OsError::InsufficientPrivilege {
-                requested: Priority::VeryHigh
-            })
-        );
     }
 
     #[test]
@@ -739,20 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn sysfs_timer_interval_string_writes() {
-        let mut k = kernel(KernelMode::Patched);
-        assert_eq!(sysfs_write(&mut k, "timer/interval_cycles", " 8000 "), Ok(()));
-        assert_eq!(
-            sysfs_write(&mut k, "timer/interval_cycles", "soon"),
-            Err(OsError::InvalidValue)
-        );
-        assert_eq!(
-            sysfs_write(&mut k, "timer/interval_cycles", "0"),
-            Err(OsError::InvalidTimerInterval)
-        );
-    }
-
-    #[test]
     fn reset_on_interrupt_destroys_experiments_demo() {
         // The motivating observation: on the vanilla kernel a priority
         // experiment decays back to (4,4), so measured decode shares end
@@ -761,7 +704,7 @@ mod tests {
             let mut k = kernel(mode);
             k.set_timer_interval(5_000).unwrap();
             let _ = k.set_supervisor_priority(ThreadId::T0, Priority::High);
-            k.run_cycles(200_000);
+            k.try_run_cycles(200_000).unwrap();
             let s = k.core().stats();
             s.thread(ThreadId::T0).decode_cycles_granted as f64
                 / s.thread(ThreadId::T1).decode_cycles_granted.max(1) as f64
@@ -782,19 +725,8 @@ mod tests {
             Err(OsError::InvalidTimerInterval)
         );
         // The old interval stays in force and the kernel still runs.
-        k.run_cycles(Kernel::DEFAULT_TIMER_INTERVAL);
+        k.try_run_cycles(Kernel::DEFAULT_TIMER_INTERVAL).unwrap();
         assert_eq!(k.stats().timer_interrupts, 1);
-    }
-
-    #[test]
-    fn try_run_cycles_delivers_interrupts_on_a_healthy_core() {
-        let mut k = kernel(KernelMode::Vanilla);
-        k.set_timer_interval(10_000).unwrap();
-        k.set_supervisor_priority(ThreadId::T0, Priority::High).unwrap();
-        k.try_run_cycles(50_000).expect("healthy core never stalls");
-        assert_eq!(k.stats().timer_interrupts, 5);
-        // Vanilla reset-on-kernel-entry still happens on the try_ path.
-        assert_eq!(k.core().priority(ThreadId::T0), Priority::Medium);
     }
 
     #[test]
@@ -849,7 +781,7 @@ mod tests {
     #[test]
     fn mode_transition_preserves_core_state() {
         let mut k = kernel(KernelMode::Vanilla);
-        k.run_cycles(1_000);
+        k.try_run_cycles(1_000).unwrap();
         let committed = k.core().stats().committed(ThreadId::T0);
         let k = k.into_mode(KernelMode::Patched);
         assert_eq!(k.core().stats().committed(ThreadId::T0), committed);

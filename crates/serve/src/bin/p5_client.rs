@@ -34,8 +34,6 @@ OPTIONS:
                         suffixes apply too: +mt (deterministic, shares
                         the serial cache entries) or +mt:Q (relaxed
                         quantum, its own cache entries)
-    --chip-threads N    1 = serial chip, 2 = deterministic threaded
-                        (same as appending +mt to --plan)
     --no-cache          force every cell to simulate server-side
     --csv-dir DIR       with --grid table3: write table3.csv into DIR
     --json-dir DIR      with --grid table3: write table3.json into DIR
@@ -187,7 +185,7 @@ fn main() {
             std::process::exit(1);
         }
     });
-    let mut plan = match value_of(&args, "--plan") {
+    let plan = match value_of(&args, "--plan") {
         Some(spec) => match p5_core::ExecutionPlan::parse(&spec) {
             Ok(plan) => plan,
             Err(e) => {
@@ -197,21 +195,6 @@ fn main() {
         },
         None => p5_core::ExecutionPlan::detailed(),
     };
-    // Post-parse plan edit, mirroring repro: relaxed quanta must be
-    // spelled out as --plan ...+mt:Q.
-    if let Some(n) = value_of(&args, "--chip-threads") {
-        match n.parse::<u64>() {
-            Ok(1) => plan.chip = p5_core::ChipParallelism::Serial,
-            Ok(2) => plan.chip = p5_core::ChipParallelism::Threaded { quantum: 1 },
-            _ => {
-                eprintln!(
-                    "--chip-threads expects 1 (serial) or 2 (deterministic threaded), got {n:?}; \
-                     for a relaxed quantum use --plan ...+mt:Q"
-                );
-                std::process::exit(1);
-            }
-        }
-    }
     let request = CampaignRequest {
         fidelity,
         grid: grid.clone(),

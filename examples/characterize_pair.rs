@@ -7,6 +7,7 @@
 //! cargo run --release --example characterize_pair -- cpu_int lng_chain_cpuint
 //! ```
 
+use p5repro::experiments::campaign::{Campaign, CampaignSpec, CellSpec};
 use p5repro::experiments::{priority_pair, Experiments};
 use p5repro::isa::ThreadId;
 use p5repro::microbench::MicroBenchmark;
@@ -33,7 +34,8 @@ fn main() {
             })
         });
 
-    let ctx = Experiments::quick();
+    let jobs = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let ctx = Experiments::quick().with_jobs(jobs);
     println!(
         "characterizing ({}, {}) across priority differences -5..=+5\n",
         primary.name(),
@@ -44,20 +46,36 @@ fn main() {
         "diff", "pair", "PThread IPC", "SThread IPC", "total", "vs (4,4)"
     );
 
-    // Measure the (4,4) baseline first so every row can be normalized.
-    let baseline = {
-        let (p, s) = priority_pair(0);
-        let report = ctx.measure_pair(primary.program(), secondary.program(), (p, s));
-        report.total_ipc()
-    };
+    // One campaign over the eleven differences; cell `diff + 5` is the
+    // (4,4) baseline every row is normalized against.
+    let diffs = -5..=5;
+    let cells = diffs
+        .clone()
+        .map(|diff| {
+            CellSpec::pair(
+                format!("diff {diff:+}"),
+                primary.program(),
+                secondary.program(),
+                priority_pair(diff),
+            )
+        })
+        .collect();
+    let result = Campaign::run(&ctx, &CampaignSpec::for_ctx(&ctx, cells));
+    let baseline = result.measured(5).total_ipc();
 
-    for diff in -5..=5 {
+    for (diff, cell) in diffs.zip(&result.cells) {
         let (p, s) = priority_pair(diff);
-        let report = ctx.measure_pair(primary.program(), secondary.program(), (p, s));
-        let pt = report.thread(ThreadId::T0).expect("active").ipc;
-        let st = report.thread(ThreadId::T1).expect("active").ipc;
+        let m = &cell.measured;
+        let (Some(pt), Some(st)) = (m.ipc(ThreadId::T0), m.ipc(ThreadId::T1)) else {
+            let note = m.degradation(&cell.label).expect("a cell without IPC degraded");
+            println!("{:>5} {note}", format!("{diff:+}"));
+            continue;
+        };
         let total = pt + st;
-        let rel = format!("{:+.1}%", (total / baseline - 1.0) * 100.0);
+        let rel = baseline.map_or_else(
+            || "n/a".to_string(),
+            |b| format!("{:+.1}%", (total / b - 1.0) * 100.0),
+        );
         println!(
             "{:>5} {:>10} {:>12.3} {:>12.3} {:>10.3} {:>12}",
             format!("{diff:+}"),

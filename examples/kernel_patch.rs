@@ -30,7 +30,7 @@ fn run(mode: KernelMode) -> (f64, f64, u64) {
         .expect("supervisor may set 6");
 
     // ...and measures for a while, with timer interrupts firing.
-    kernel.run_cycles(2_000_000);
+    kernel.try_run_cycles(2_000_000).expect("the core never wedges");
 
     let stats = kernel.core().stats();
     (

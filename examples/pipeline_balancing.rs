@@ -21,7 +21,9 @@ fn measure(priorities: (Priority, Priority)) -> (f64, f64) {
     core.load_program(ThreadId::T1, fftlu::lu_program());
     core.set_priority(ThreadId::T0, priorities.0);
     core.set_priority(ThreadId::T1, priorities.1);
-    let report = FameRunner::new(FameConfig::quick()).measure(&mut core);
+    let report = FameRunner::new(FameConfig::quick())
+        .try_measure(&mut core)
+        .expect("the FFT/LU pipeline never wedges");
     (
         report
             .thread(ThreadId::T0)

@@ -13,7 +13,7 @@
 use p5repro::core::{CoreConfig, SmtCore};
 use p5repro::isa::{Priority, ThreadId};
 use p5repro::microbench::MicroBenchmark;
-use p5repro::os::{sysfs_write, Kernel, KernelMode};
+use p5repro::os::{Kernel, KernelMode, SysfsRequest};
 
 fn st_ipc(bench: MicroBenchmark) -> f64 {
     let mut core = SmtCore::new(CoreConfig::power5_like());
@@ -53,13 +53,17 @@ fn main() {
         // through /sys; the stock kernel would reject 6 and reset
         // priorities at every interrupt.
         let mut kernel = Kernel::new(core, KernelMode::Patched);
-        sysfs_write(&mut kernel, "thread0/priority", "6").expect("patched kernel allows 6");
-        sysfs_write(&mut kernel, "thread1/priority", "1").expect("patched kernel allows 1");
+        SysfsRequest::parse("thread0/priority", "6")
+            .and_then(|r| r.apply(&mut kernel))
+            .expect("patched kernel allows 6");
+        SysfsRequest::parse("thread1/priority", "1")
+            .and_then(|r| r.apply(&mut kernel))
+            .expect("patched kernel allows 1");
         assert_eq!(kernel.core().priority(ThreadId::T1), Priority::VeryLow);
 
-        kernel.run_cycles(400_000);
+        kernel.try_run_cycles(400_000).expect("the core never wedges");
         kernel.core_mut().reset_stats();
-        kernel.run_cycles(1_500_000);
+        kernel.try_run_cycles(1_500_000).expect("the core never wedges");
 
         let fg_ipc = kernel.core().stats().ipc(ThreadId::T0);
         let bg_ipc = kernel.core().stats().ipc(ThreadId::T1);

@@ -25,7 +25,7 @@ fn st_ipc(bench: MicroBenchmark, iterations: u64) -> f64 {
     let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
     core.load_program(ThreadId::T0, bench.program_with_iterations(iterations));
     quick_fame()
-        .measure(&mut core)
+        .try_measure(&mut core).unwrap()
         .thread(ThreadId::T0)
         .expect("active")
         .ipc
@@ -41,7 +41,7 @@ fn fame_converges_on_steady_microbenchmarks() {
     ] {
         let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
         core.load_program(ThreadId::T0, bench.program_with_iterations(40));
-        let report = quick_fame().measure(&mut core);
+        let report = quick_fame().try_measure(&mut core).unwrap();
         assert!(
             report.converged(),
             "{bench} must converge under relaxed MAIV"
@@ -71,7 +71,7 @@ fn smt_halves_a_thread_paired_with_itself() {
     let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
     core.load_program(ThreadId::T0, MicroBenchmark::CpuInt.program_with_iterations(20));
     core.load_program(ThreadId::T1, MicroBenchmark::CpuInt.program_with_iterations(20));
-    let report = quick_fame().measure(&mut core);
+    let report = quick_fame().try_measure(&mut core).unwrap();
     let paired = report.thread(ThreadId::T0).expect("active").ipc;
 
     assert!(
@@ -98,7 +98,7 @@ fn fame_repetition_times_are_consistent_with_ipc() {
     let program = MicroBenchmark::CpuInt.program_with_iterations(20);
     let per_rep = program.instructions_per_repetition() as f64;
     core.load_program(ThreadId::T0, program);
-    let report = quick_fame().measure(&mut core);
+    let report = quick_fame().try_measure(&mut core).unwrap();
     let m = report.thread(ThreadId::T0).expect("active");
     // IPC ~= instructions-per-rep / cycles-per-rep.
     let derived = per_rep / m.avg_repetition_cycles;
@@ -117,7 +117,7 @@ fn faster_thread_runs_more_repetitions_like_paper_figure_1() {
         ThreadId::T1,
         MicroBenchmark::LngChainCpuint.program_with_iterations(30),
     );
-    let report = quick_fame().measure(&mut core);
+    let report = quick_fame().try_measure(&mut core).unwrap();
     let fast = report.thread(ThreadId::T0).expect("active");
     let slow = report.thread(ThreadId::T1).expect("active");
     assert!(fast.repetitions > slow.repetitions);

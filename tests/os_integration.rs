@@ -5,7 +5,7 @@
 use p5repro::core::{CoreConfig, SmtCore};
 use p5repro::isa::{Priority, ThreadId};
 use p5repro::microbench::MicroBenchmark;
-use p5repro::os::{sysfs_write, Kernel, KernelMode, OsError};
+use p5repro::os::{Kernel, KernelMode, OsError, SysfsRequest};
 
 fn kernel(mode: KernelMode) -> Kernel {
     let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
@@ -20,10 +20,14 @@ fn paper_experiment_workflow_on_patched_kernel() {
     // measure — without the kernel interfering.
     let mut k = kernel(KernelMode::Patched);
     k.set_timer_interval(10_000).unwrap();
-    sysfs_write(&mut k, "thread0/priority", "6").expect("patched kernel exposes 6");
-    sysfs_write(&mut k, "thread1/priority", "2").expect("2 is a user level anyway");
+    SysfsRequest::parse("thread0/priority", "6")
+        .and_then(|r| r.apply(&mut k))
+        .expect("patched kernel exposes 6");
+    SysfsRequest::parse("thread1/priority", "2")
+        .and_then(|r| r.apply(&mut k))
+        .expect("2 is a user level anyway");
 
-    k.run_cycles(320_000);
+    k.try_run_cycles(320_000).unwrap();
 
     // Priorities survived 32 timer interrupts.
     assert_eq!(k.core().priority(ThreadId::T0), Priority::High);
@@ -43,7 +47,7 @@ fn same_experiment_is_destroyed_by_the_vanilla_kernel() {
     k.set_timer_interval(10_000).unwrap();
     // User space cannot even request 6 on the stock kernel...
     assert_eq!(
-        sysfs_write(&mut k, "thread0/priority", "6"),
+        SysfsRequest::parse("thread0/priority", "6").and_then(|r| r.apply(&mut k)),
         Err(OsError::InsufficientPrivilege {
             requested: Priority::High
         })
@@ -51,7 +55,7 @@ fn same_experiment_is_destroyed_by_the_vanilla_kernel() {
     // ...and a supervisor-set priority evaporates at the next interrupt.
     k.set_supervisor_priority(ThreadId::T0, Priority::High)
         .expect("supervisor sets 6");
-    k.run_cycles(320_000);
+    k.try_run_cycles(320_000).unwrap();
     assert_eq!(k.core().priority(ThreadId::T0), Priority::Medium);
     assert!(k.stats().priority_resets >= 1);
 
@@ -71,12 +75,12 @@ fn spin_wait_scenario_reduces_spinner_interference() {
     // The kernel lowers a spinning thread's priority so the lock holder
     // (on the sibling context) makes faster progress.
     let mut k = kernel(KernelMode::Vanilla);
-    k.run_cycles(50_000);
+    k.try_run_cycles(50_000).unwrap();
     let before = k.core().stats().ipc(ThreadId::T0);
 
     k.enter_spin_wait(ThreadId::T1);
     k.core_mut().reset_stats();
-    k.run_cycles(50_000);
+    k.try_run_cycles(50_000).unwrap();
     let during = k.core().stats().ipc(ThreadId::T0);
     assert!(
         during > 1.2 * before,
@@ -91,7 +95,7 @@ fn spin_wait_scenario_reduces_spinner_interference() {
 fn hypervisor_call_reaches_single_thread_mode() {
     let mut k = kernel(KernelMode::Patched);
     k.set_hypervisor_priority(ThreadId::T0, Priority::VeryHigh).unwrap();
-    k.run_cycles(20_000);
+    k.try_run_cycles(20_000).unwrap();
     assert!(k.core().stats().committed(ThreadId::T0) > 0);
     assert_eq!(k.core().stats().committed(ThreadId::T1), 0);
 }
@@ -100,15 +104,15 @@ fn hypervisor_call_reaches_single_thread_mode() {
 fn sysfs_rejects_garbage_across_the_stack() {
     let mut k = kernel(KernelMode::Patched);
     assert_eq!(
-        sysfs_write(&mut k, "thread9/priority", "4"),
+        SysfsRequest::parse("thread9/priority", "4").and_then(|r| r.apply(&mut k)),
         Err(OsError::InvalidPath)
     );
     assert_eq!(
-        sysfs_write(&mut k, "thread0/priority", "medium"),
+        SysfsRequest::parse("thread0/priority", "medium").and_then(|r| r.apply(&mut k)),
         Err(OsError::InvalidValue)
     );
     assert_eq!(
-        sysfs_write(&mut k, "thread0/priority", "8"),
+        SysfsRequest::parse("thread0/priority", "8").and_then(|r| r.apply(&mut k)),
         Err(OsError::InvalidValue)
     );
     // Nothing changed.

@@ -4,7 +4,8 @@
 //! yields an annotated partial result instead of a hang or a panic.
 
 use p5repro::core::{CoreConfig, SimError, SmtCore, StuckResource};
-use p5repro::experiments::Experiments;
+use p5repro::experiments::campaign::{run_isolated_cell, CampaignSpec, CellSpec};
+use p5repro::experiments::{Experiments, Measured};
 use p5repro::fame::FameConfig;
 use p5repro::fault::{check_invariants, FaultInjector, FaultPlan};
 use p5repro::isa::{
@@ -41,6 +42,13 @@ fn chase_program(footprint: u64) -> Program {
     b.push(StaticInst::new(Op::Branch(BranchBehavior::LoopBack)));
     b.iterations(1_000);
     b.build().unwrap()
+}
+
+/// One single-thread cell through the campaign's per-cell flow and its
+/// retry/escalation ladder.
+fn measure_cell(ctx: &Experiments, program: Program) -> Measured {
+    let spec = CampaignSpec::for_ctx(ctx, vec![CellSpec::single("cell", program)]);
+    run_isolated_cell(ctx, &spec, 0, &spec.cells[0]).0
 }
 
 /// The canonical wedge: a legal-but-pathological zero-entry LMQ with an
@@ -129,14 +137,14 @@ fn healthy_and_wedged_cells_coexist_in_a_partial_report() {
 
     // A pure-ALU cell never touches the LMQ: it measures normally even
     // on the pathological core.
-    let healthy = ctx.measure_single_resilient(cpu_program(100));
+    let healthy = measure_cell(&ctx, cpu_program(100));
     assert!(!healthy.is_degraded());
     assert!(healthy.ipc(ThreadId::T0).unwrap_or(0.0) > 0.0);
     assert_eq!(healthy.degradation("cpu"), None);
 
     // The memory-bound cell wedges; it degrades with an annotation that
     // names the saturated resource instead of hanging or panicking.
-    let wedged = ctx.measure_single_resilient(chase_program(256 * 1024));
+    let wedged = measure_cell(&ctx, chase_program(256 * 1024));
     assert!(wedged.is_degraded());
     let note = wedged
         .degradation("(chase)")
@@ -178,7 +186,7 @@ fn escalated_retry_recovers_a_tight_budget() {
     // 8k cycles is too tight for 40 repetitions, but the one retry at
     // Experiments::RETRY_ESCALATION times the budget completes: the cell
     // recovers instead of degrading.
-    let m = ctx.measure_single_resilient(cpu_program(10));
+    let m = measure_cell(&ctx, cpu_program(10));
     assert!(!m.is_degraded(), "note: {:?}", m.degradation("cell"));
     assert!(m.ipc(ThreadId::T0).unwrap_or(0.0) > 0.0);
 }

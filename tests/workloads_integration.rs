@@ -32,7 +32,7 @@ fn pair_times(
     core.load_program(ThreadId::T1, b);
     core.set_priority(ThreadId::T0, pa);
     core.set_priority(ThreadId::T1, pb);
-    let report = quick_fame().measure(&mut core);
+    let report = quick_fame().try_measure(&mut core).unwrap();
     (
         report
             .thread(ThreadId::T0)
@@ -88,7 +88,7 @@ fn spec_proxies_preserve_relative_boundedness_in_smt() {
     let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
     core.load_program(ThreadId::T0, SpecProxy::H264ref.program_with_iterations(400));
     core.load_program(ThreadId::T1, SpecProxy::Mcf.program_with_iterations(100));
-    let report = quick_fame().measure(&mut core);
+    let report = quick_fame().try_measure(&mut core).unwrap();
     let h = report.thread(ThreadId::T0).expect("active").ipc;
     let m = report.thread(ThreadId::T1).expect("active").ipc;
     assert!(
@@ -103,14 +103,14 @@ fn prioritizing_the_cpu_bound_spec_proxy_does_not_lose_throughput() {
         let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
         core.load_program(ThreadId::T0, SpecProxy::H264ref.program_with_iterations(400));
         core.load_program(ThreadId::T1, SpecProxy::Mcf.program_with_iterations(100));
-        quick_fame().measure(&mut core).total_ipc()
+        quick_fame().try_measure(&mut core).unwrap().total_ipc()
     };
     let boosted = {
         let mut core = SmtCore::new(CoreConfig::tiny_for_tests());
         core.load_program(ThreadId::T0, SpecProxy::H264ref.program_with_iterations(400));
         core.load_program(ThreadId::T1, SpecProxy::Mcf.program_with_iterations(100));
         core.set_priority(ThreadId::T0, Priority::High);
-        quick_fame().measure(&mut core).total_ipc()
+        quick_fame().try_measure(&mut core).unwrap().total_ipc()
     };
     assert!(
         boosted >= 0.97 * base,
